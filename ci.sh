@@ -1,5 +1,6 @@
 #!/bin/sh
-# Repository CI gate: formatting, lints, and the full test suite.
+# Repository CI gate: formatting, lints, the full test suite, the CLI
+# smokes and the host benchmark's own gate.
 # Everything runs offline; the workspace has no network dependencies.
 set -eu
 
@@ -70,5 +71,8 @@ cargo run -q -p neve-bench --offline --release --bin sim_throughput -- --smoke
 
 echo "==> throughput regression guard (fresh vs recorded, >20% fails)"
 cargo run -q -p neve-bench --offline --release --bin sim_throughput -- --guard --samples 5
+
+echo "==> host benchmark (build, self-tests, traced and untraced smoke)"
+sh benchmark/ci.sh
 
 echo "CI green."

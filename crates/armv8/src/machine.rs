@@ -23,7 +23,7 @@ use crate::trace::{Trace, TraceEvent};
 use crate::uop::{self, CompiledProgram, Engine, Uop};
 use crate::ArchLevel;
 use neve_core::{Disposition, NeveEngine};
-use neve_cycles::{CostModel, CostTable, CycleCounter, Event, Phase, Rank, TrapKind, Waker, Wheel};
+use neve_cycles::{CostModel, CostTable, CycleCounter, Event, Phase, TrapKind, Waker, Wheel};
 use neve_gic::Gic;
 use neve_memsim::{walk, Access, PageTable, PhysMem, Tlb, TlbKey, TlbSnapshot};
 use neve_sysreg::bits::{esr, hcr, vttbr};
@@ -406,7 +406,7 @@ impl Machine {
     //      event; `false` means no event is armed — a real deadlock.
     //
     // Everything here is deterministic: wake order is the wheel's
-    // `(time, rank, cpu, seq)` total order, and the epoch rescan walks
+    // `(time, cpu, seq)` total order, and the epoch rescan walks
     // cpus in index order. The scheduler only decides *when* a core is
     // stepped; the step itself charges exactly what it always charged,
     // which is why the recorded microbenchmark matrices are
@@ -436,7 +436,7 @@ impl Machine {
             gic_epoch: self.gic.epoch_of(cpu),
         });
         if wake_at != u64::MAX {
-            self.wheel.post(wake_at, Rank::Timer, cpu);
+            self.wheel.post(wake_at, cpu);
         }
         self.runnable.retain(|&c| c != cpu);
         true
@@ -488,13 +488,13 @@ impl Machine {
         };
         let prev = self.parked[cpu].replace(refreshed);
         if prev.is_none_or(|p| p.wake_at != wake_at) && wake_at != u64::MAX {
-            self.wheel.post(wake_at, Rank::Timer, cpu);
+            self.wheel.post(wake_at, cpu);
         }
         false
     }
 
     /// Delivers every wake-up that is due: pops due wheel events (exact
-    /// timer deadlines) in `(time, rank, cpu, seq)` order, and — only
+    /// timer deadlines) in `(time, cpu, seq)` order, and — only
     /// when a device epoch moved since the last call — re-polls the
     /// parked cores whose *own* wake inputs changed (an SGI targeting
     /// them, their timer bank re-armed, their SPI retargeted). Returns

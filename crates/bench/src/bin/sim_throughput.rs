@@ -30,6 +30,7 @@
 use neve_armv8::Engine;
 use neve_cycles::CostModel;
 use neve_workloads::cache::{self, CACHE_PATH};
+use neve_workloads::par::default_jobs;
 use neve_workloads::platforms::{Config, MicroMatrix};
 use neve_workloads::throughput::{
     self, measure_config_with, ConfigThroughput, ScenarioThroughput, BENCH_PATH,
@@ -91,7 +92,7 @@ fn smoke(samples: usize, engine: Engine) {
         .map(|text| cache::from_json(text, fingerprint).is_some())
         .unwrap_or(false);
     if matches_fingerprint {
-        let fresh = cache::to_json(&MicroMatrix::measure_parallel(jobs()), fingerprint);
+        let fresh = cache::to_json(&MicroMatrix::measure_parallel(default_jobs()), fingerprint);
         if Some(fresh.as_str()) != cached.as_deref() {
             eprintln!(
                 "FAIL: freshly measured matrix differs from {CACHE_PATH} \
@@ -104,8 +105,8 @@ fn smoke(samples: usize, engine: Engine) {
     } else {
         // No comparable cache: fall back to self-consistency, which
         // still catches nondeterminism introduced by a change.
-        let a = cache::to_json(&MicroMatrix::measure_parallel(jobs()), fingerprint);
-        let b = cache::to_json(&MicroMatrix::measure_parallel(jobs()), fingerprint);
+        let a = cache::to_json(&MicroMatrix::measure_parallel(default_jobs()), fingerprint);
+        let b = cache::to_json(&MicroMatrix::measure_parallel(default_jobs()), fingerprint);
         if a != b {
             eprintln!("FAIL: two matrix measurements disagree — nondeterministic simulation");
             std::process::exit(1);
@@ -192,12 +193,6 @@ fn guard(samples: usize, engine: Engine) {
          recorded steps/sec, idle scaling within bounds",
         throughput::GUARD_TOLERANCE * 100.0
     );
-}
-
-fn jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 fn main() {

@@ -26,9 +26,7 @@ use neve_workloads::platforms::MicroMatrix;
 /// bin shares the `neve` CLI's surface.
 pub fn shared_matrix() -> MicroMatrix {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut jobs = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let mut jobs = neve_workloads::par::default_jobs();
     let mut use_cache = true;
     let mut it = argv.iter();
     while let Some(a) = it.next() {

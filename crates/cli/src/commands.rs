@@ -6,6 +6,7 @@ use neve_cycles::counter::Measured;
 use neve_json::JsonValue;
 use neve_kvmarm::{ArmConfig, MicroBench, ParaMode, TestBed};
 use neve_workloads::cache::{self, MatrixSource};
+use neve_workloads::par::default_jobs;
 use neve_workloads::platforms::{MicroMatrix, PhaseStat};
 use neve_workloads::{apps, provenance, tables};
 use neve_x86vt::testbed::{X86Bench, X86Config, X86TestBed};
@@ -212,16 +213,16 @@ artifact instead of the table.
 stdin (or TCP, with --listen ADDR) line is a JSON request naming a job
 kind (micro, faults, fuzz, consolidate, bench-sim) and its sweep axes
 (configs x benches x engine x budget x fault plan). Requests decompose
-into content-addressed cells scheduled across --jobs workers on a
-work-stealing queue; identical cells — within one request, across
+into content-addressed cells run by --jobs workers from one queue;
+identical cells — within one request, across
 requests, or across connections — coalesce onto one computation, and
 repeat queries are answered from the in-memory store or the on-disk
 matrix cache. Results stream back as JSONL events (accepted, one cell
 per line with its cycles/traps and provenance source, then done with
 the assembled matrix or rendered report). A cell that exhausts its
---budget streams as failed while the rest of the batch completes;
-submissions past --max-queued (default 1024) are refused with a
-structured error. --smoke proves the coalescing, byte-identity, and
+--budget streams as failed while the rest of the batch completes; a
+submission whose new cells would push the queue past --max-queued
+(default 1024) is refused with a single structured error. --smoke proves the coalescing, byte-identity, and
 budget-containment contracts and exits non-zero on any violation.
 ";
 
@@ -256,10 +257,7 @@ fn micro(p: &args::Parsed) -> Result<(), String> {
 /// cache hit when `results/micro_matrix.json` matches the current cost
 /// model, a parallel re-measurement otherwise.
 fn matrix(p: &args::Parsed) -> Result<MicroMatrix, String> {
-    let default_jobs = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1) as u64;
-    let jobs = p.get_u64("jobs", default_jobs)?.max(1) as usize;
+    let jobs = p.get_u64("jobs", default_jobs() as u64)?.max(1) as usize;
     let use_cache = !p.has("no-cache");
     let (m, source) = cache::load_or_measure(jobs, use_cache);
     match source {
@@ -424,13 +422,10 @@ fn bench_sim_cmd(p: &args::Parsed) -> Result<(), String> {
 /// the report exists to surface, not harness failures, so a completed
 /// campaign exits zero.
 fn faults_cmd(p: &args::Parsed) -> Result<(), String> {
-    let default_jobs = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1) as u64;
     let spec = neve_workloads::CampaignSpec {
         seed: p.get_u64("seed", 2017)?,
         smoke: p.has("smoke"),
-        jobs: p.get_u64("jobs", default_jobs)?.max(1) as usize,
+        jobs: p.get_u64("jobs", default_jobs() as u64)?.max(1) as usize,
         fail_fast: p.has("fail-fast"),
         step_budget: match p.get_u64("budget", 0)? {
             0 => None,
@@ -470,10 +465,7 @@ fn consolidate_cmd(p: &args::Parsed) -> Result<(), String> {
     } else {
         ConsolidateSpec::full()
     };
-    let default_jobs = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1) as u64;
-    spec.jobs = p.get_u64("jobs", default_jobs)?.max(1) as usize;
+    spec.jobs = p.get_u64("jobs", default_jobs() as u64)?.max(1) as usize;
     let report = run_consolidate(spec)?;
     if p.has("json") {
         print!("{}", report.to_json());
@@ -516,10 +508,7 @@ fn serve_cmd(p: &args::Parsed) -> Result<(), String> {
     if p.has("smoke") {
         return serve::smoke();
     }
-    let default_jobs = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1) as u64;
-    let jobs = p.get_u64("jobs", default_jobs)?.max(1) as usize;
+    let jobs = p.get_u64("jobs", default_jobs() as u64)?.max(1) as usize;
     let max_queued = p.get_u64("max-queued", 1024)?.max(1) as usize;
     let fingerprint = neve_cycles::CostModel::default().fingerprint();
     let cache_path =
@@ -572,15 +561,12 @@ fn fuzz_cmd(p: &args::Parsed) -> Result<(), String> {
     }
 
     let smoke = p.has("smoke");
-    let default_jobs = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1) as u64;
     let spec = fuzz::FuzzSpec {
         seed: p.get_u64("seed", 0x7e1)?,
         cases: p
             .get_u64("cases", if smoke { 24 } else { 96 })?
             .clamp(1, 100_000) as usize,
-        jobs: p.get_u64("jobs", default_jobs)?.max(1) as usize,
+        jobs: p.get_u64("jobs", default_jobs() as u64)?.max(1) as usize,
         corpus_dir: Some(p.get("corpus-dir", fuzz::CORPUS_DIR).to_string()),
     };
     let report = fuzz::run_fuzz(&spec)?;

@@ -26,7 +26,7 @@ pub mod sched;
 pub use cost::{ArmCosts, CostModel, CostTable, SoftwareCosts, X86Costs};
 pub use counter::{CounterSnapshot, CycleCounter, Delta, Measured};
 pub use fault::{FaultCause, SimFault};
-pub use sched::{EventKey, Rank, Waker, Wheel};
+pub use sched::{EventKey, Waker, Wheel};
 
 /// Classification of a trap (exception taken to a hypervisor).
 ///

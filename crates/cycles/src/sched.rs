@@ -11,61 +11,25 @@
 //! core therefore costs zero host work until an event targets it.
 //!
 //! Everything here is deterministic. Events are totally ordered by
-//! `(time, component rank, cpu index, insertion sequence)` — see
-//! [`EventKey`] — so two runs that post the same events drain them in
-//! the same order regardless of insertion order, heap internals, or
-//! host thread scheduling.
+//! `(time, cpu index, insertion sequence)` — see [`EventKey`] — so two
+//! runs that post the same events drain them in the same order
+//! regardless of insertion order, heap internals, or host thread
+//! scheduling.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Which component posted an event: the fixed tie-break rank between
-/// events due at the same simulated time (lower drains first).
-///
-/// The order is architectural, not arbitrary: timer deadlines fire
-/// before interrupt delivery (a timer *causes* the interrupt), IPIs
-/// after device/GIC state changes, watchdogs after all real work, and
-/// plain wake-ups last.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Rank {
-    /// A timer deadline (vtimer/ptimer/htimer `CVAL` crossing).
-    Timer = 0,
-    /// GIC distributor state change (SPI raise, enable, retarget).
-    Gic = 1,
-    /// Inter-processor interrupt delivery (SGI).
-    Ipi = 2,
-    /// A run-budget watchdog (the driver's forward-progress guard).
-    Watchdog = 3,
-    /// A plain wake-up with no component semantics (PSCI CPU_ON,
-    /// snapshot restore re-posts, explicit kicks).
-    Wake = 4,
-}
-
-impl Rank {
-    /// Every rank, tie-break order.
-    pub fn all() -> [Rank; 5] {
-        [
-            Rank::Timer,
-            Rank::Gic,
-            Rank::Ipi,
-            Rank::Watchdog,
-            Rank::Wake,
-        ]
-    }
-}
-
-/// A scheduled event: totally ordered by `(time, rank, cpu, seq)`.
+/// A scheduled event (a parked core's timer deadline): totally ordered
+/// by `(time, cpu, seq)`.
 ///
 /// `seq` is the wheel-assigned insertion sequence number; it makes the
-/// order total (and therefore deterministic) even when one component
-/// posts several events for one cpu at one instant.
+/// order total (and therefore deterministic) even when several events
+/// are posted for one cpu at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventKey {
     /// Absolute simulated time (cycle count) the event is due.
     pub time: u64,
-    /// Posting component (fixed tie-break rank).
-    pub rank: Rank,
-    /// Target cpu index (second tie-break).
+    /// Target cpu index (tie-break).
     pub cpu: usize,
     /// Insertion sequence (final tie-break; assigned by the wheel).
     pub seq: u64,
@@ -94,7 +58,7 @@ pub struct Waker {
 
 /// The global simulated-time event wheel: a min-heap of [`EventKey`]s.
 ///
-/// Pop order is the deterministic total order `(time, rank, cpu, seq)`
+/// Pop order is the deterministic total order `(time, cpu, seq)`
 /// regardless of push order. The wheel itself is pure bookkeeping — it
 /// never touches machine state — so snapshotting it is a plain clone.
 #[derive(Debug, Clone, Default)]
@@ -110,10 +74,9 @@ impl Wheel {
     }
 
     /// Posts an event and returns its key (with the assigned `seq`).
-    pub fn post(&mut self, time: u64, rank: Rank, cpu: usize) -> EventKey {
+    pub fn post(&mut self, time: u64, cpu: usize) -> EventKey {
         let key = EventKey {
             time,
-            rank,
             cpu,
             seq: self.seq,
         };
@@ -171,34 +134,28 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn pop_order_is_time_then_rank_then_cpu_then_seq() {
+    fn pop_order_is_time_then_cpu_then_seq() {
         let mut w = Wheel::new();
         // Deliberately posted out of order.
-        w.post(20, Rank::Wake, 0); // seq 0
-        w.post(10, Rank::Ipi, 3); // seq 1
-        w.post(10, Rank::Timer, 7); // seq 2
-        w.post(10, Rank::Ipi, 1); // seq 3
-        w.post(10, Rank::Ipi, 1); // seq 4: same (time, rank, cpu)
-        let order: Vec<(u64, Rank, usize, u64)> = std::iter::from_fn(|| w.pop())
-            .map(|k| (k.time, k.rank, k.cpu, k.seq))
+        w.post(20, 0); // seq 0
+        w.post(10, 3); // seq 1
+        w.post(10, 7); // seq 2
+        w.post(10, 1); // seq 3
+        w.post(10, 1); // seq 4: same (time, cpu)
+        let order: Vec<(u64, usize, u64)> = std::iter::from_fn(|| w.pop())
+            .map(|k| (k.time, k.cpu, k.seq))
             .collect();
         assert_eq!(
             order,
-            vec![
-                (10, Rank::Timer, 7, 2),
-                (10, Rank::Ipi, 1, 3),
-                (10, Rank::Ipi, 1, 4),
-                (10, Rank::Ipi, 3, 1),
-                (20, Rank::Wake, 0, 0),
-            ]
+            vec![(10, 1, 3), (10, 1, 4), (10, 3, 1), (10, 7, 2), (20, 0, 0)]
         );
     }
 
     #[test]
     fn pop_due_respects_now() {
         let mut w = Wheel::new();
-        w.post(100, Rank::Timer, 0);
-        w.post(50, Rank::Timer, 1);
+        w.post(100, 0);
+        w.post(50, 1);
         assert_eq!(w.pop_due(49), None);
         assert_eq!(w.pop_due(50).map(|k| k.cpu), Some(1));
         assert_eq!(w.pop_due(99), None);
@@ -209,48 +166,35 @@ mod tests {
     #[test]
     fn clone_preserves_pending_events_and_seq() {
         let mut w = Wheel::new();
-        w.post(5, Rank::Timer, 0);
-        w.post(9, Rank::Watchdog, 2);
+        w.post(5, 0);
+        w.post(9, 2);
         let mut c = w.clone();
         assert_eq!(c.pending_sorted(), w.pending_sorted());
         // New posts in the clone order after the copied ones.
-        let k = c.post(5, Rank::Timer, 0);
+        let k = c.post(5, 0);
         assert_eq!(k.seq, 2);
-    }
-
-    #[test]
-    fn rank_order_is_the_documented_tie_break() {
-        let all = Rank::all();
-        for pair in all.windows(2) {
-            assert!(pair[0] < pair[1], "{pair:?} out of order");
-        }
-        assert_eq!(all[0], Rank::Timer);
-        assert_eq!(all[4], Rank::Wake);
     }
 
     proptest! {
         /// The drain order of a set of events is invariant under the
         /// order they were posted in: shuffle the insertion order any
-        /// way, the `(time, rank, cpu, seq)` total order wins. (`seq`
-        /// is position-dependent, so the property is stated over keys
-        /// that differ in `(time, rank, cpu)` — duplicates collapse.)
+        /// way, the `(time, cpu, seq)` total order wins. (`seq` is
+        /// position-dependent, so the property is stated over keys that
+        /// differ in `(time, cpu)` — duplicates collapse.)
         #[test]
         fn drain_order_invariant_under_insertion_shuffle(
             times in proptest::collection::vec(0u64..16, 1..24),
-            ranks in proptest::collection::vec(0usize..5, 1..24),
             cpus in proptest::collection::vec(0usize..8, 1..24),
             swaps in proptest::collection::vec((0usize..24, 0usize..24), 0..32),
         ) {
-            let n = times.len().min(ranks.len()).min(cpus.len());
-            let mut keys: Vec<(u64, Rank, usize)> = (0..n)
-                .map(|i| (times[i], Rank::all()[ranks[i]], cpus[i]))
-                .collect();
+            let n = times.len().min(cpus.len());
+            let mut keys: Vec<(u64, usize)> = (0..n).map(|i| (times[i], cpus[i])).collect();
             keys.sort();
             keys.dedup();
 
             let mut a = Wheel::new();
-            for &(t, r, c) in &keys {
-                a.post(t, r, c);
+            for &(t, c) in &keys {
+                a.post(t, c);
             }
             let mut shuffled = keys.clone();
             for &(i, j) in &swaps {
@@ -258,13 +202,13 @@ mod tests {
                 shuffled.swap(i, j);
             }
             let mut b = Wheel::new();
-            for &(t, r, c) in &shuffled {
-                b.post(t, r, c);
+            for &(t, c) in &shuffled {
+                b.post(t, c);
             }
-            let da: Vec<(u64, Rank, usize)> =
-                std::iter::from_fn(|| a.pop()).map(|k| (k.time, k.rank, k.cpu)).collect();
-            let db: Vec<(u64, Rank, usize)> =
-                std::iter::from_fn(|| b.pop()).map(|k| (k.time, k.rank, k.cpu)).collect();
+            let da: Vec<(u64, usize)> =
+                std::iter::from_fn(|| a.pop()).map(|k| (k.time, k.cpu)).collect();
+            let db: Vec<(u64, usize)> =
+                std::iter::from_fn(|| b.pop()).map(|k| (k.time, k.cpu)).collect();
             prop_assert_eq!(&da, &db, "drain order depends on insertion order");
             prop_assert_eq!(da, keys, "drain order is the sorted key order");
         }

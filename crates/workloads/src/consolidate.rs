@@ -255,52 +255,17 @@ fn measure_row(
 /// quiesced), labelled with its configuration.
 pub fn run_consolidate(spec: ConsolidateSpec) -> Result<ConsolidateReport, String> {
     let configs = table_configs();
-    let jobs = spec.jobs.max(1).min(configs.len());
-    let mut slots: Vec<Option<Result<ConsolidateRow, String>>> = Vec::new();
-    slots.resize_with(configs.len(), || None);
-    if jobs <= 1 {
-        for (slot, (label, cfg)) in slots.iter_mut().zip(&configs) {
-            *slot = Some(measure_row(label, *cfg, spec));
-        }
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|worker| {
-                    let configs = &configs;
-                    s.spawn(move || {
-                        configs
-                            .iter()
-                            .enumerate()
-                            .skip(worker)
-                            .step_by(jobs)
-                            .map(|(i, (label, cfg))| (i, measure_row(label, *cfg, spec)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(chunk) => {
-                        for (i, r) in chunk {
-                            slots[i] = Some(r);
-                        }
-                    }
-                    Err(payload) => {
-                        let msg = crate::session::panic_message(payload.as_ref());
-                        // The worker's rows never arrived; mark them as
-                        // failed rather than aborting the process.
-                        for slot in slots.iter_mut().filter(|s| s.is_none()) {
-                            *slot = Some(Err(format!("consolidate worker panicked: {msg}")));
-                        }
-                    }
-                }
-            }
-        });
-    }
-    let mut rows = Vec::with_capacity(slots.len());
-    for slot in slots {
-        rows.push(slot.expect("row not measured")?);
-    }
+    let rows = crate::par::striped_map(
+        &configs,
+        spec.jobs,
+        || Ok(()),
+        |_, (label, cfg)| measure_row(label, *cfg, spec),
+    );
+    let rows = configs
+        .iter()
+        .zip(rows)
+        .map(|((label, _), row)| row.map_err(|e| format!("{label}: consolidate row {e}"))?)
+        .collect::<Result<_, _>>()?;
     Ok(ConsolidateReport { spec, rows })
 }
 

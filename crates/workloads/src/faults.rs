@@ -237,47 +237,18 @@ fn classify(baseline: &CellResult, injected: CellResult) -> (Verdict, String) {
     }
 }
 
-/// Stripes `keys` over `jobs` workers, running `f` on each; results
-/// come back keyed, so the merge is arrival-order independent. A
-/// worker panic surfaces as a structured error instead of poisoning
+/// Runs `f` on every key across `jobs` workers, results in key order.
+/// A panic surfaces as a structured campaign error instead of poisoning
 /// the caller.
-fn run_striped<K, F>(keys: &[K], jobs: usize, f: F) -> Result<BTreeMap<usize, CellResult>, String>
-where
-    K: Sync,
-    F: Fn(&K) -> CellResult + Sync,
-{
-    let jobs = jobs.max(1).min(keys.len().max(1));
-    let mut merged = BTreeMap::new();
-    let mut panicked: Option<String> = None;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..jobs)
-            .map(|w| {
-                let f = &f;
-                scope.spawn(move || {
-                    keys.iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(jobs)
-                        .map(|(i, k)| (i, f(k)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for worker in workers {
-            match worker.join() {
-                Ok(chunk) => merged.extend(chunk),
-                Err(payload) => {
-                    panicked.get_or_insert_with(|| crate::session::panic_message(payload.as_ref()));
-                }
-            }
-        }
-    });
-    if let Some(msg) = panicked {
-        return Err(format!(
-            "campaign worker panicked ({msg}); partial results discarded"
-        ));
-    }
-    Ok(merged)
+fn run_all<K: Sync>(
+    keys: &[K],
+    jobs: usize,
+    f: impl Fn(&K) -> CellResult + Sync,
+) -> Result<Vec<CellResult>, String> {
+    crate::par::striped_map(keys, jobs, || Ok(()), |_, k| f(k))
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("campaign worker {e}; partial results discarded"))
 }
 
 /// Runs the full injection campaign described by `spec`.
@@ -291,7 +262,7 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, String> {
     let budget = spec.step_budget.unwrap_or(DEFAULT_CAMPAIGN_BUDGET);
 
     // Fault-free baselines, one per cell (the recovery reference).
-    let baselines = run_striped(&cells, spec.jobs, |&(c, b)| run_cell(c, b, None, budget))?;
+    let baselines = run_all(&cells, spec.jobs, |&(c, b)| run_cell(c, b, None, budget))?;
 
     // The injected grid, in deterministic (config, bench, plan) order.
     let mut units: Vec<(usize, &'static str, FaultPlan)> =
@@ -311,7 +282,7 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, String> {
         for (cell_idx, plan, p) in &units {
             let (config, bench) = cells[*cell_idx];
             let outcome = run_cell(config, bench, Some(p), budget);
-            let (verdict, detail) = classify(&baselines[cell_idx], outcome);
+            let (verdict, detail) = classify(&baselines[*cell_idx], outcome);
             entries.push(CampaignEntry {
                 config,
                 bench,
@@ -325,14 +296,13 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, String> {
             }
         }
     } else {
-        let outcomes = run_striped(&units, spec.jobs, |(cell_idx, _, p)| {
+        let outcomes = run_all(&units, spec.jobs, |(cell_idx, _, p)| {
             let (config, bench) = cells[*cell_idx];
             run_cell(config, bench, Some(p), budget)
         })?;
-        for (i, outcome) in outcomes {
-            let (cell_idx, plan, _) = &units[i];
+        for ((cell_idx, plan, _), outcome) in units.iter().zip(outcomes) {
             let (config, bench) = cells[*cell_idx];
-            let (verdict, detail) = classify(&baselines[cell_idx], outcome);
+            let (verdict, detail) = classify(&baselines[*cell_idx], outcome);
             entries.push(CampaignEntry {
                 config,
                 bench,

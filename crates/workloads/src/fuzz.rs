@@ -48,7 +48,7 @@ use neve_cycles::TrapKind;
 use neve_json::JsonValue;
 use neve_sysreg::bits::hcr;
 use neve_sysreg::SysReg;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Where the campaign persists replayable reproducers.
@@ -820,47 +820,13 @@ pub fn replay(path: &str) -> Result<ReplayOutcome, String> {
 // The campaign.
 // ---------------------------------------------------------------------
 
-/// Striped parallel map with one [`Rig`] per worker. Results are merged
-/// by case index, so the outcome is independent of `jobs`.
-fn run_striped<C, F>(cases: &[C], jobs: usize, f: F) -> Result<BTreeMap<usize, CaseOutcome>, String>
-where
-    C: Sync,
-    F: Fn(&mut Rig, &C) -> CaseOutcome + Sync,
-{
-    let jobs = jobs.max(1).min(cases.len().max(1));
-    let mut merged = BTreeMap::new();
-    let mut failures: Vec<String> = Vec::new();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..jobs)
-            .map(|w| {
-                let f = &f;
-                scope.spawn(move || -> Result<Vec<(usize, CaseOutcome)>, String> {
-                    let mut rig = Rig::new()?;
-                    cases
-                        .iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(jobs)
-                        .map(|(i, c)| Ok((i, f(&mut rig, c))))
-                        .collect()
-                })
-            })
-            .collect();
-        for worker in workers {
-            match worker.join() {
-                Ok(Ok(chunk)) => merged.extend(chunk),
-                Ok(Err(e)) => failures.push(e),
-                Err(payload) => failures.push(format!(
-                    "fuzz worker panicked: {}",
-                    crate::session::panic_message(payload.as_ref())
-                )),
-            }
-        }
-    });
-    if let Some(e) = failures.into_iter().next() {
-        return Err(e);
-    }
-    Ok(merged)
+/// Runs every case across `jobs` workers, one [`Rig`] per worker,
+/// results in case order (so the outcome is independent of `jobs`).
+fn run_all(cases: &[FuzzCase], jobs: usize) -> Result<Vec<CaseOutcome>, String> {
+    crate::par::striped_map(cases, jobs, Rig::new, run_case)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("fuzz worker: {e}"))
 }
 
 /// Runs the campaign: a first round of index-synthesized cases, a
@@ -871,7 +837,7 @@ pub fn run_fuzz(spec: &FuzzSpec) -> Result<FuzzReport, String> {
     let round1: Vec<FuzzCase> = (0..spec.cases)
         .map(|i| case_for_index(spec.seed, i))
         .collect();
-    let outcomes = run_striped(&round1, spec.jobs, run_case)?;
+    let outcomes = run_all(&round1, spec.jobs)?;
 
     // Coverage is merged in index order, so "which case was first to a
     // tuple" — and therefore the round-2 parent set — is jobs-invariant.
@@ -880,7 +846,7 @@ pub fn run_fuzz(spec: &FuzzSpec) -> Result<FuzzReport, String> {
     let mut cross_skipped = 0usize;
     let mut findings: Vec<(usize, FuzzCase, Finding)> = Vec::new();
     let mut injections_detected = 0usize;
-    for (&i, out) in &outcomes {
+    for (i, out) in outcomes.iter().enumerate() {
         let novel = out.coverage.iter().any(|t| !coverage.contains(t));
         coverage.extend(out.coverage.iter().cloned());
         if novel && round1[i].injections.is_empty() && parents.len() < CORPUS_PARENTS {
@@ -911,8 +877,8 @@ pub fn run_fuzz(spec: &FuzzSpec) -> Result<FuzzReport, String> {
             });
         }
     }
-    let outcomes2 = run_striped(&round2, spec.jobs, run_case)?;
-    for (&k, out) in &outcomes2 {
+    let outcomes2 = run_all(&round2, spec.jobs)?;
+    for (k, out) in outcomes2.iter().enumerate() {
         coverage.extend(out.coverage.iter().cloned());
         if out.cross_skipped {
             cross_skipped += 1;

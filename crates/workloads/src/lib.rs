@@ -25,12 +25,13 @@
 //!   notification-suppression model reproduces the paper's x86
 //!   Memcached anomaly (Section 7.2: "having faster hardware can result
 //!   in more virtualization overhead").
+//! - [`par`]: the one worker pool every batch campaign runs on —
+//!   index-ordered, panic-contained [`par::striped_map`].
 //! - [`jobs`] and [`serve`]: the long-running job engine behind
 //!   `neve serve` — batched sweep requests over line-delimited JSON,
-//!   decomposed into content-addressed cells on a sharded
-//!   work-stealing queue, with in-flight coalescing, an in-memory
-//!   result store layered over the disk cache, and streaming JSONL
-//!   partial-matrix events.
+//!   decomposed into content-addressed cells on a single FIFO queue,
+//!   with in-flight coalescing, an in-memory result store layered over
+//!   the disk cache, and streaming JSONL partial-matrix events.
 
 pub mod apps;
 pub mod cache;
@@ -39,6 +40,7 @@ pub mod faults;
 pub mod fuzz;
 pub mod jobs;
 pub mod oracle;
+pub mod par;
 pub mod platforms;
 pub mod provenance;
 pub mod replay;

@@ -174,30 +174,16 @@ pub(crate) fn arm_config(c: Config) -> Option<ArmConfig> {
     })
 }
 
-/// Converts one worker bucket's join outcome into cell results. A
-/// worker that panicked outside `SimSession::run`'s own containment
-/// (e.g. in the collection plumbing) must not abort the whole matrix:
-/// every cell the bucket carried degrades to [`CellResult::Failed`]
-/// with the panic message, and the other buckets assemble normally.
-fn joined_bucket(
-    joined: std::thread::Result<Vec<CellResult>>,
-    meta: &[(Config, Bench)],
-) -> Vec<CellResult> {
-    match joined {
-        Ok(cells) => cells,
-        Err(payload) => {
-            let message = crate::session::panic_message(payload.as_ref());
-            meta.iter()
-                .map(|&(config, bench)| CellResult::Failed {
-                    config,
-                    bench,
-                    fault: neve_cycles::SimFault::from_panic(format!(
-                        "evaluation worker panicked: {message}"
-                    )),
-                })
-                .collect()
-        }
-    }
+/// A cell's result from the worker pool. An `Err` — a panic outside
+/// `SimSession::run`'s own containment — degrades to
+/// [`CellResult::Failed`] with the message, so the rest of the matrix
+/// still assembles.
+fn pool_cell((config, bench): (Config, Bench), result: Result<CellResult, String>) -> CellResult {
+    result.unwrap_or_else(|e| CellResult::Failed {
+        config,
+        bench,
+        fault: neve_cycles::SimFault::from_panic(format!("evaluation worker {e}")),
+    })
 }
 
 /// Every (configuration, benchmark) cell of the evaluation matrix, in
@@ -227,10 +213,8 @@ impl MicroMatrix {
 
     /// Runs every cell of the matrix across `jobs` worker threads.
     ///
-    /// Sessions are built on the calling thread and *moved* into scoped
-    /// workers (each whole testbed crosses a thread boundary — the
-    /// design reason the simulator's types are `Send`). Every cell is
-    /// an independent deterministic simulation, so the result is
+    /// Every cell is an independent deterministic simulation and
+    /// assembly keys cells into `BTreeMap`s, so the result is
     /// bit-identical to [`MicroMatrix::measure`] regardless of `jobs`
     /// or scheduling.
     pub fn measure_parallel(jobs: usize) -> Self {
@@ -247,10 +231,14 @@ impl MicroMatrix {
     /// they would without options (injection off means zero measurement
     /// perturbation).
     pub fn measure_with(opts: &MeasureOpts) -> Self {
-        let jobs = opts.jobs.max(1);
-        let sessions: Vec<SimSession> = all_cells()
-            .into_iter()
-            .map(|(c, b)| {
+        // Item `i` runs on worker `i % jobs`, so the slow nested-ARM
+        // cells of one config spread over the workers.
+        let cells = all_cells();
+        let results = crate::par::striped_map(
+            &cells,
+            opts.jobs,
+            || Ok(()),
+            |_, &(c, b)| {
                 let mut s = SimSession::new(c, b);
                 if let Some(plan) = &opts.fault_plan {
                     s.attach_fault_plan(plan);
@@ -258,42 +246,16 @@ impl MicroMatrix {
                 if let Some(budget) = opts.step_budget {
                     s.set_step_budget(budget);
                 }
-                s
-            })
-            .collect();
-
-        // Round-robin the cells over the workers. Cells of one config
-        // land on different workers on purpose: the nested-ARM configs
-        // are far slower than the x86 ones, and striping spreads them.
-        let mut buckets: Vec<Vec<SimSession>> = (0..jobs).map(|_| Vec::new()).collect();
-        for (i, s) in sessions.into_iter().enumerate() {
-            buckets[i % jobs].push(s);
-        }
-
-        let mut cells: Vec<CellResult> = Vec::new();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = buckets
+                s.run()
+            },
+        );
+        Self::assemble(
+            cells
                 .into_iter()
-                .map(|bucket| {
-                    // Cell identities survive outside the worker so a
-                    // panicking worker can still report which cells it
-                    // was carrying.
-                    let meta: Vec<(Config, Bench)> =
-                        bucket.iter().map(|s| (s.config(), s.bench())).collect();
-                    let handle = scope.spawn(move || {
-                        bucket
-                            .into_iter()
-                            .map(SimSession::run)
-                            .collect::<Vec<CellResult>>()
-                    });
-                    (handle, meta)
-                })
-                .collect();
-            for (w, meta) in workers {
-                cells.extend(joined_bucket(w.join(), &meta));
-            }
-        });
-        Self::assemble(cells)
+                .zip(results)
+                .map(|(cell, r)| pool_cell(cell, r))
+                .collect(),
+        )
     }
 
     /// Measures every cell serially with an execution trace attached to
@@ -490,44 +452,42 @@ mod tests {
         assert_eq!(Config::ArmVm.vm_baseline(), Config::ArmVm);
     }
 
-    /// The satellite bugfix's regression test: a worker bucket whose
-    /// thread dies with a real panic (not one contained inside
-    /// `SimSession::run`) must surface every carried cell as `Failed`
-    /// with the panic message — never re-raise and abort the matrix.
+    /// A panic outside `SimSession::run`'s own containment fails only
+    /// its cell: the pool's `Err` becomes a `Failed` cell carrying the
+    /// message, and the matrix still assembles around it.
     #[test]
-    fn a_panicking_worker_degrades_its_cells_instead_of_aborting() {
-        let meta = [
-            (Config::ArmVm, Bench::Hypercall),
-            (Config::X86Vm, Bench::DeviceIo),
-        ];
-        let joined = std::thread::scope(|scope| {
-            scope
-                .spawn(|| -> Vec<CellResult> { panic!("deliberate worker crash") })
-                .join()
-        });
-        let cells = joined_bucket(joined, &meta);
-        assert_eq!(cells.len(), meta.len());
-        for (cell, &(config, bench)) in cells.iter().zip(&meta) {
-            assert_eq!(cell.config(), config);
-            assert_eq!(cell.bench(), bench);
-            let fault = cell.fault().expect("cell must be Failed");
-            assert!(
-                fault.describe().contains("deliberate worker crash"),
-                "{fault}"
-            );
-        }
-        // And the degraded cells still assemble: zero placeholders plus
-        // failure records, provided the config's other benches exist.
-        let mut all: Vec<CellResult> = Vec::new();
-        for b in Bench::all() {
-            if b != Bench::Hypercall {
-                all.push(SimSession::new(Config::ArmVm, b).run());
-            }
-        }
-        all.push(cells[0].clone());
-        let m = MicroMatrix::from_cells(all);
+    fn a_pool_error_becomes_a_failed_cell_that_still_assembles() {
+        let cells: Vec<(Config, Bench)> =
+            Bench::all().iter().map(|&b| (Config::ArmVm, b)).collect();
+        let results = crate::par::striped_map(
+            &cells,
+            2,
+            || Ok(()),
+            |_, &(c, b)| {
+                if b == Bench::Hypercall {
+                    panic!("deliberate worker crash");
+                }
+                SimSession::new(c, b).run()
+            },
+        );
+        let cells: Vec<CellResult> = cells
+            .into_iter()
+            .zip(results)
+            .map(|(cell, r)| pool_cell(cell, r))
+            .collect();
+        let fault = cells[0].fault().expect("the panicking cell must be Failed");
+        assert_eq!(
+            (cells[0].config(), cells[0].bench()),
+            (Config::ArmVm, Bench::Hypercall)
+        );
+        assert!(
+            fault.describe().contains("deliberate worker crash"),
+            "{fault}"
+        );
+        let m = MicroMatrix::from_cells(cells);
         assert!(m.has_failures());
         assert_eq!(m.failed_cells(), 1);
         assert_eq!(m.costs(Config::ArmVm).hypercall.cycles, 0);
+        assert!(m.costs(Config::ArmVm).device_io.cycles > 0);
     }
 }

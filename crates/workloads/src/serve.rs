@@ -1,8 +1,7 @@
 //! The serve engine: a long-running job host that accepts batched
 //! sweep requests (line-delimited JSON), decomposes them into
-//! content-addressed cells ([`crate::jobs`]), schedules the cells on a
-//! sharded work-stealing queue, and streams results back as JSONL
-//! events.
+//! content-addressed cells ([`crate::jobs`]), runs the cells from one
+//! FIFO queue, and streams results back as JSONL events.
 //!
 //! The result store is the coalescing layer: a cell key maps to one
 //! slot that is `Queued`, `Running`, or `Done`. The first request to
@@ -15,7 +14,8 @@
 //!
 //! Lock order: the store mutex and the requests mutex are never held
 //! at the same time — workers collect deliveries under the store lock,
-//! drop it, then deliver under the requests lock. A faulted or
+//! drop it, then deliver under the requests lock. A sink's lock is a
+//! leaf, taken under either. A faulted or
 //! cancelled cell streams as a `failed`/`cancelled` event and the rest
 //! of the batch completes; nothing poisons the queue.
 
@@ -31,7 +31,7 @@ use neve_json::JsonValue;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Where a request's events are written (one JSON object per line).
@@ -76,9 +76,12 @@ struct RequestState {
     sink: Sink,
 }
 
-struct Signal {
-    /// Cells enqueued and not yet claimed, across every shard.
-    queued: usize,
+/// The coalescing store and the queue that feeds the workers, under
+/// one mutex: `queue` holds exactly the keys whose slot is `Queued`.
+#[derive(Default)]
+struct Store {
+    slots: BTreeMap<CellKey, Slot>,
+    queue: VecDeque<CellKey>,
     shutdown: bool,
 }
 
@@ -86,13 +89,11 @@ struct Shared {
     fingerprint: u64,
     cache_path: Option<PathBuf>,
     max_queued: usize,
-    queues: Vec<Mutex<VecDeque<CellKey>>>,
-    next_shard: AtomicUsize,
-    signal: Mutex<Signal>,
-    cond: Condvar,
-    store: Mutex<BTreeMap<CellKey, Slot>>,
+    store: Mutex<Store>,
+    /// Notified when a key is enqueued or the engine shuts down.
+    work: Condvar,
     requests: Mutex<BTreeMap<String, RequestState>>,
-    /// Signalled every time a request finalizes (for [`JobEngine::drain`]).
+    /// Notified every time a request finalizes (for [`JobEngine::drain`]).
     done_cond: Condvar,
     /// Cells actually executed (coalesced and memory hits excluded) —
     /// the observable the coalescing smoke asserts on.
@@ -312,71 +313,35 @@ fn finalize(shared: &Shared, id: &str, state: RequestState) {
     emit(&state.sink, &event(pairs));
 }
 
-fn worker_loop(shared: &Shared, shard: usize) {
+fn worker_loop(shared: &Shared) {
     loop {
-        {
-            let mut signal = shared.signal.lock().unwrap();
-            while signal.queued == 0 {
-                if signal.shutdown {
+        let (key, work) = {
+            let mut store = shared.store.lock().unwrap();
+            loop {
+                if let Some(key) = store.queue.pop_front() {
+                    let Some(Slot::Queued { work, waiters }) = store.slots.remove(&key) else {
+                        unreachable!("every queued key has a Queued slot");
+                    };
+                    store.slots.insert(key.clone(), Slot::Running { waiters });
+                    break (key, work);
+                }
+                if store.shutdown {
                     return;
                 }
-                signal = shared.cond.wait(signal).unwrap();
+                store = shared.work.wait(store).unwrap();
             }
-            signal.queued -= 1;
-        }
-        // A claim is backed by at least one enqueued key (keys are
-        // enqueued before `queued` is bumped): scan own shard first,
-        // then steal from the others' opposite end.
-        let key = loop {
-            if let Some(k) = shared.queues[shard].lock().unwrap().pop_front() {
-                break k;
-            }
-            let mut stolen = None;
-            for (i, q) in shared.queues.iter().enumerate() {
-                if i == shard {
-                    continue;
-                }
-                if let Some(k) = q.lock().unwrap().pop_back() {
-                    stolen = Some(k);
-                    break;
-                }
-            }
-            if let Some(k) = stolen {
-                break k;
-            }
-            std::thread::yield_now();
-        };
-        let work = {
-            let mut store = shared.store.lock().unwrap();
-            match store.get_mut(&key) {
-                Some(slot @ Slot::Queued { .. }) => {
-                    let Slot::Queued { work, waiters } = std::mem::replace(
-                        slot,
-                        Slot::Running {
-                            waiters: Vec::new(),
-                        },
-                    ) else {
-                        unreachable!()
-                    };
-                    *slot = Slot::Running { waiters };
-                    Some(work)
-                }
-                // Cancelled (slot removed) or already claimed: no-op.
-                _ => None,
-            }
-        };
-        let Some(work) = work else {
-            continue;
         };
         let outcome = Arc::new(execute(&work));
         shared.computed.fetch_add(1, Ordering::Relaxed);
         let waiters = {
             let mut store = shared.store.lock().unwrap();
-            let Some(Slot::Running { waiters }) = store.remove(&key) else {
+            let Some(Slot::Running { waiters }) = store.slots.remove(&key) else {
                 continue;
             };
             if work.cacheable() {
-                store.insert(key.clone(), Slot::Done(Arc::clone(&outcome)));
+                store
+                    .slots
+                    .insert(key.clone(), Slot::Done(Arc::clone(&outcome)));
             }
             waiters
         };
@@ -396,27 +361,20 @@ impl JobEngine {
         cache_path: Option<PathBuf>,
         max_queued: usize,
     ) -> Self {
-        let shards = jobs.max(1);
         let shared = Arc::new(Shared {
             fingerprint,
             cache_path,
             max_queued,
-            queues: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
-            next_shard: AtomicUsize::new(0),
-            signal: Mutex::new(Signal {
-                queued: 0,
-                shutdown: false,
-            }),
-            cond: Condvar::new(),
-            store: Mutex::new(BTreeMap::new()),
+            store: Mutex::new(Store::default()),
+            work: Condvar::new(),
             requests: Mutex::new(BTreeMap::new()),
             done_cond: Condvar::new(),
             computed: AtomicU64::new(0),
         });
         let workers = (0..jobs)
-            .map(|i| {
+            .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, i))
+                std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
         Self {
@@ -464,15 +422,12 @@ impl JobEngine {
             );
             return;
         }
-        emit(
-            sink,
-            &event(vec![
-                ("event", JsonValue::String("accepted".into())),
-                ("id", JsonValue::String(req.id.clone())),
-                ("job", JsonValue::String(req.kind.label().into())),
-                ("cells", JsonValue::from(unique.len() as u64)),
-            ]),
-        );
+        let accepted = event(vec![
+            ("event", JsonValue::String("accepted".into())),
+            ("id", JsonValue::String(req.id.clone())),
+            ("job", JsonValue::String(req.kind.label().into())),
+            ("cells", JsonValue::from(unique.len() as u64)),
+        ]);
 
         // Disk tier: the exact grid the persistent cache stores, with a
         // valid clean file present, streams straight from disk.
@@ -487,6 +442,7 @@ impl JobEngine {
                     .filter(|(_, m)| !m.has_failures());
                 match valid {
                     Some((text, matrix)) => {
+                        emit(sink, &accepted);
                         stream_from_disk(&req, &unique, &matrix, &text, sink);
                         return;
                     }
@@ -495,26 +451,8 @@ impl JobEngine {
             }
         }
 
-        // Backpressure: refuse rather than queue without bound. The
-        // per-cell step budget (watchdog) bounds each admitted cell.
-        {
-            let signal = self.shared.signal.lock().unwrap();
-            if signal.queued + unique.len() > self.shared.max_queued {
-                drop(signal);
-                emit(
-                    sink,
-                    &error_event(
-                        &req.id,
-                        format!(
-                            "queue full (cap {} cells); retry later",
-                            self.shared.max_queued
-                        ),
-                    ),
-                );
-                return;
-            }
-        }
-
+        // Registered before any of its cells is visible to a worker, so
+        // no delivery can miss it.
         let id = req.id.clone();
         self.shared.requests.lock().unwrap().insert(
             id.clone(),
@@ -532,44 +470,56 @@ impl JobEngine {
             },
         );
 
-        // Register every cell against the store, collecting memory hits
-        // for delivery after the lock drops (lock-order rule).
+        // Admission and registration under the lock that enqueues: only
+        // cells that create a new slot count against `--max-queued`, and
+        // `accepted` is out before any worker can deliver one of them.
+        let mut store = self.shared.store.lock().unwrap();
+        let fresh = unique
+            .iter()
+            .filter(|(k, _)| !store.slots.contains_key(k))
+            .count();
+        if store.queue.len() + fresh > self.shared.max_queued {
+            drop(store);
+            // Backpressure: refuse rather than queue without bound. The
+            // per-cell step budget (watchdog) bounds each admitted cell.
+            self.shared.requests.lock().unwrap().remove(&id);
+            self.shared.done_cond.notify_all();
+            let cap = self.shared.max_queued;
+            emit(
+                sink,
+                &error_event(&id, format!("queue full (cap {cap} cells); retry later")),
+            );
+            return;
+        }
+        emit(sink, &accepted);
+        // Memory hits are delivered after the lock drops (lock order).
         let mut hits: Vec<(CellKey, Arc<CellOutcome>)> = Vec::new();
-        let mut fresh: Vec<CellKey> = Vec::new();
-        {
-            let mut store = self.shared.store.lock().unwrap();
-            for (key, work) in unique {
-                match store.get_mut(&key) {
-                    Some(Slot::Done(outcome)) => hits.push((key, Arc::clone(outcome))),
-                    Some(Slot::Queued { waiters, .. }) | Some(Slot::Running { waiters }) => {
-                        waiters.push(Waiter {
-                            request: id.clone(),
-                            source: "coalesced",
-                        });
-                    }
-                    None => {
-                        store.insert(
-                            key.clone(),
-                            Slot::Queued {
-                                work: Box::new(work),
-                                waiters: vec![Waiter {
-                                    request: id.clone(),
-                                    source: "measured",
-                                }],
-                            },
-                        );
-                        fresh.push(key);
-                    }
+        for (key, work) in unique {
+            match store.slots.get_mut(&key) {
+                Some(Slot::Done(outcome)) => hits.push((key, Arc::clone(outcome))),
+                Some(Slot::Queued { waiters, .. }) | Some(Slot::Running { waiters }) => {
+                    waiters.push(Waiter {
+                        request: id.clone(),
+                        source: "coalesced",
+                    });
+                }
+                None => {
+                    store.slots.insert(
+                        key.clone(),
+                        Slot::Queued {
+                            work: Box::new(work),
+                            waiters: vec![Waiter {
+                                request: id.clone(),
+                                source: "measured",
+                            }],
+                        },
+                    );
+                    store.queue.push_back(key);
                 }
             }
         }
-        for key in fresh {
-            let shard =
-                self.shared.next_shard.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
-            self.shared.queues[shard].lock().unwrap().push_back(key);
-            self.shared.signal.lock().unwrap().queued += 1;
-            self.shared.cond.notify_one();
-        }
+        drop(store);
+        self.shared.work.notify_all();
         for (key, outcome) in hits {
             deliver(
                 &self.shared,
@@ -621,25 +571,21 @@ impl JobEngine {
         );
         self.shared.done_cond.notify_all();
         // Drop this request's waiters; a queued slot nobody waits on
-        // any more is removed (its queue entry becomes a no-op pop).
+        // any more leaves the store and the queue.
         let mut store = self.shared.store.lock().unwrap();
-        let orphaned: Vec<CellKey> = store
-            .iter_mut()
-            .filter_map(|(key, slot)| match slot {
-                Slot::Queued { waiters, .. } => {
-                    waiters.retain(|w| w.request != id);
-                    waiters.is_empty().then(|| key.clone())
-                }
-                Slot::Running { waiters } => {
-                    waiters.retain(|w| w.request != id);
-                    None // the worker owns it; the result lands in Done
-                }
-                Slot::Done(_) => None,
-            })
-            .collect();
-        for key in orphaned {
-            store.remove(&key);
-        }
+        let Store { slots, queue, .. } = &mut *store;
+        slots.retain(|_, slot| match slot {
+            Slot::Queued { waiters, .. } => {
+                waiters.retain(|w| w.request != id);
+                !waiters.is_empty()
+            }
+            Slot::Running { waiters } => {
+                waiters.retain(|w| w.request != id);
+                true // the worker owns it; the result lands in Done
+            }
+            Slot::Done(_) => true,
+        });
+        queue.retain(|key| slots.contains_key(key));
     }
 
     /// Blocks until every active request has finalized.
@@ -653,8 +599,8 @@ impl JobEngine {
 
 impl Drop for JobEngine {
     fn drop(&mut self) {
-        self.shared.signal.lock().unwrap().shutdown = true;
-        self.shared.cond.notify_all();
+        self.shared.store.lock().unwrap().shutdown = true;
+        self.shared.work.notify_all();
         for w in self.workers.lock().unwrap().drain(..) {
             let _ = w.join();
         }
@@ -1015,8 +961,8 @@ mod tests {
     #[test]
     fn cell_results_are_byte_identical_to_the_serial_path() {
         // The full default grid through the engine must assemble to
-        // exactly the serial one-shot bytes (jobs=2 exercises the
-        // work-stealing order independence).
+        // exactly the serial one-shot bytes (jobs=2 exercises
+        // completion-order independence).
         let fp = neve_cycles::CostModel::default().fingerprint();
         let engine = JobEngine::new(2, fp, None, 64);
         let buf = SharedBuf::default();
@@ -1096,6 +1042,63 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| str_of(e, "event") == "error" && str_of(e, "id") == "ghost"));
+    }
+
+    /// A zero-worker engine capped at two queued cells, and a sink to
+    /// read its events back.
+    fn capped_engine() -> (JobEngine, SharedBuf, Sink) {
+        let fp = neve_cycles::CostModel::default().fingerprint();
+        let buf = SharedBuf::default();
+        let sink = buf.sink();
+        (JobEngine::new(0, fp, None, 2), buf, sink)
+    }
+
+    fn two_x86_cells(id: &str, benches: [Bench; 2]) -> JobRequest {
+        micro_req(id, vec![Config::X86Vm], benches.to_vec())
+    }
+
+    fn event_kinds(buf: &SharedBuf, id: &str) -> Vec<String> {
+        let events = parse_events(&buf.text());
+        events_for(&events, id)
+            .into_iter()
+            .map(|e| str_of(e, "event").to_string())
+            .collect()
+    }
+
+    #[test]
+    fn cancelled_cells_free_their_queue_capacity() {
+        let (engine, buf, sink) = capped_engine();
+        let cells = [Bench::Hypercall, Bench::DeviceIo];
+        engine.submit(two_x86_cells("c", cells), &sink);
+        engine.cancel("c", &sink);
+        engine.submit(two_x86_cells("d", cells), &sink);
+        assert_eq!(event_kinds(&buf, "d"), ["accepted"], "{}", buf.text());
+    }
+
+    #[test]
+    fn a_request_that_only_coalesces_is_admitted_at_the_cap() {
+        let (engine, buf, sink) = capped_engine();
+        let cells = [Bench::Hypercall, Bench::DeviceIo];
+        engine.submit(two_x86_cells("a", cells), &sink);
+        engine.submit(two_x86_cells("b", cells), &sink);
+        assert_eq!(event_kinds(&buf, "b"), ["accepted"], "{}", buf.text());
+    }
+
+    #[test]
+    fn a_refused_request_streams_one_error_and_no_accepted() {
+        let (engine, buf, sink) = capped_engine();
+        engine.submit(
+            two_x86_cells("a", [Bench::Hypercall, Bench::DeviceIo]),
+            &sink,
+        );
+        engine.submit(
+            two_x86_cells("r", [Bench::VirtualIpi, Bench::VirtualEoi]),
+            &sink,
+        );
+        assert_eq!(event_kinds(&buf, "r"), ["error"], "{}", buf.text());
+        // The refusal leaves no request behind for `drain` to wait on.
+        engine.cancel("a", &sink);
+        engine.drain();
     }
 
     #[test]

@@ -20,11 +20,12 @@ use neve_x86vt::testbed::{X86Bench, X86Config, X86TestBed};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Renders a `catch_unwind`/`JoinHandle::join` panic payload as text.
-/// `panic!` with a literal yields `&str`, with a format string yields
-/// `String`; anything else (a `panic_any` value) is opaque. Shared by
-/// every worker-join site in this crate so a panicking worker always
-/// surfaces its message in the structured error instead of re-raising.
+/// Renders a `catch_unwind` panic payload as text. `panic!` with a
+/// literal yields `&str`, with a format string yields `String`;
+/// anything else (a `panic_any` value) is opaque. Shared by every
+/// containment site in this crate (the worker pool, sessions, serve's
+/// cells) so a panic always surfaces its message in the structured
+/// error instead of re-raising.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
