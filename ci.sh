@@ -41,6 +41,20 @@ echo "$micro_md5_before" | md5sum -c --quiet - || {
     exit 1
 }
 
+echo "==> pinned digests (cold matrix, full consolidation table)"
+# Both files are gitignored; their digests are pinned here (and in the
+# host benchmark) so re-recording a file cannot pass CI.
+cargo run -q -p neve-cli --offline --release --bin neve -- tables --no-cache > /dev/null
+echo "772e5f96051d56c2b2c68cd7dfc77a30  results/micro_matrix.json" | md5sum -c --quiet - || {
+    echo "results/micro_matrix.json does not match its pinned digest" >&2
+    exit 1
+}
+cargo run -q -p neve-cli --offline --release --bin neve -- consolidate > /dev/null
+echo "56390e53c0101ecdfa45f5a068a7d5fb  results/consolidate.json" | md5sum -c --quiet - || {
+    echo "results/consolidate.json does not match its pinned digest" >&2
+    exit 1
+}
+
 echo "==> serve smoke (coalescing + matrix byte-identity + budget containment)"
 micro_md5_before=$(md5sum results/micro_matrix.json)
 cargo run -q -p neve-cli --offline --release --bin neve -- serve --smoke

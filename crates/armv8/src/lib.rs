@@ -39,7 +39,8 @@ pub use fault::{FaultPlan, InjectedFault, Injection, BUILTIN_PLANS};
 pub use host::{boot_harness, harness_machine, install_stage2, EmulHyp, SkipHyp};
 pub use isa::{Asm, Instr, Label, Program, Special};
 pub use machine::{
-    ExitInfo, Hypervisor, Machine, MachineConfig, MachineSnapshot, MmioRequest, StepOutcome,
+    ExecSpec, Executed, ExitInfo, Hypervisor, Machine, MachineConfig, MachineSnapshot, MmioRequest,
+    StepOutcome, Stop,
 };
 pub use pstate::Pstate;
 pub use trace::{Trace, TraceEvent};

@@ -31,6 +31,7 @@ use neve_sysreg::classify::{neve_class, NeveClass};
 use neve_sysreg::{RegId, SysReg};
 use neve_vtimer::Timers;
 use std::cell::Cell;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Machine construction parameters.
@@ -84,6 +85,59 @@ pub enum StepOutcome {
     /// The program counter points at no loaded program: a simulator
     /// usage error (or a crashed guest that jumped into the weeds).
     FetchFailure(u64),
+}
+
+/// How [`Machine::exec`] schedules a run.
+#[derive(Debug, Clone, Copy)]
+pub struct ExecSpec<'a> {
+    /// Rounds the run may start: `exec` refuses to start round
+    /// `budget + 1`. A round steps every live runnable core for its
+    /// quantum, so on a single-core machine one round is one step.
+    pub budget: u64,
+    /// Halt code with which a core leaves the run quietly (a finished
+    /// payload). Any other halt ends the run as [`Stop::Halted`].
+    pub done: u16,
+    /// Steps per turn, by cpu index; cpus past the end of the slice
+    /// get one step.
+    pub quanta: &'a [u32],
+}
+
+/// Why [`Machine::exec`] returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// The between-rounds callback returned `Break`.
+    Requested,
+    /// `cpu` halted with a `code` other than [`ExecSpec::done`]. The
+    /// rest of its round still ran.
+    Halted {
+        /// The core that halted.
+        cpu: usize,
+        /// Its halt code.
+        code: u16,
+    },
+    /// `cpu` found no program at `pc`. The rest of its round still ran.
+    FetchFailure {
+        /// The core that stopped.
+        cpu: usize,
+        /// The unmapped program counter.
+        pc: u64,
+    },
+    /// `budget` rounds ran and the callback never stopped the run.
+    BudgetExhausted,
+    /// Every live core is parked and no event is armed: nothing can
+    /// ever wake the machine (a guest deadlock).
+    Deadlock,
+}
+
+/// What one [`Machine::exec`] run did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Executed {
+    /// Machine steps the run retired, across all cores.
+    pub steps: u64,
+    /// Rounds the run started (the budget's unit).
+    pub rounds: u64,
+    /// Why the run returned.
+    pub stop: Stop,
 }
 
 /// Details of the exception that entered EL2, for hypervisor handlers.
@@ -394,15 +448,20 @@ impl Machine {
     // ------------------------------------------------------------------
     // Discrete-event scheduling.
     //
-    // The wheel-driven run loop protocol:
+    // The run loop protocol, implemented once by `exec`:
     //
-    //   1. Step only the cpus in `runnable()`.
-    //   2. A step returning `Wfi` -> `park(hyp, cpu)`; parked cores
-    //      drop out of `runnable` and cost zero host work.
-    //   3. After each step, `service_wakeups(hyp)` — O(1) when nothing
-    //      happened: it compares two epoch words and peeks the wheel.
-    //   4. When `runnable()` is empty, `advance_to_wake(hyp)` jumps the
-    //      clock (as `Phase::Idle` cycles) to the earliest pending
+    //   1. Each round steps the live cpus in `runnable()` in index
+    //      order, each for its quantum (one step unless the caller
+    //      gives a core a longer burst).
+    //   2. A step returning `Wfi` -> `park(hyp, cpu)`, which ends the
+    //      core's turn; parked cores drop out of `runnable` and cost
+    //      zero host work.
+    //   3. After each quantum, `service_wakeups(hyp)` — O(1) when
+    //      nothing happened: it compares two epoch words and peeks the
+    //      wheel, and returns at once while nothing is parked or
+    //      posted.
+    //   4. When no live core is runnable, `advance_to_wake(hyp)` jumps
+    //      the clock (as `Phase::Idle` cycles) to the earliest pending
     //      event; `false` means no event is armed — a real deadlock.
     //
     // Everything here is deterministic: wake order is the wheel's
@@ -412,6 +471,88 @@ impl Machine {
     // which is why the recorded microbenchmark matrices are
     // bit-identical under it.
     // ------------------------------------------------------------------
+
+    /// Runs the machine under the scheduling protocol above until
+    /// `between` stops it, a core faults, the round budget runs out,
+    /// or the machine deadlocks.
+    ///
+    /// `between` runs before every round (the first included) with the
+    /// rounds started so far. It is where a benchmark keeps its own
+    /// bookkeeping — the stop condition, a warm-up snapshot, a
+    /// measurement bracket, timer re-arming — and returning `Break`
+    /// ends the run as [`Stop::Requested`]. Each round is a snapshot of
+    /// the live runnable set: a core that wakes mid-round waits for the
+    /// next one, and a core that halts with [`ExecSpec::done`] leaves
+    /// the run without stopping it. Any other halt, or a fetch failure,
+    /// ends the run once its round completes (the first one is
+    /// reported), so runs only ever end between rounds.
+    pub fn exec<H: Hypervisor>(
+        &mut self,
+        hyp: &mut H,
+        spec: ExecSpec<'_>,
+        mut between: impl FnMut(&mut Machine, &mut H, u64) -> ControlFlow<()>,
+    ) -> Executed {
+        let mut run = Executed {
+            steps: 0,
+            rounds: 0,
+            stop: Stop::Requested,
+        };
+        let mut round = Vec::with_capacity(self.cores.len());
+        loop {
+            if between(self, hyp, run.rounds).is_break() {
+                return run;
+            }
+            round.clear();
+            round.extend(
+                self.runnable
+                    .iter()
+                    .copied()
+                    .filter(|&c| self.cores[c].halted.is_none()),
+            );
+            if round.is_empty() {
+                if !self.advance_to_wake(hyp) {
+                    run.stop = Stop::Deadlock;
+                    return run;
+                }
+                continue;
+            }
+            if run.rounds == spec.budget {
+                run.stop = Stop::BudgetExhausted;
+                return run;
+            }
+            run.rounds += 1;
+            let mut fault = None;
+            for &cpu in &round {
+                for _ in 0..spec.quanta.get(cpu).copied().unwrap_or(1) {
+                    let outcome = self.step(hyp, cpu);
+                    run.steps += 1;
+                    match outcome {
+                        StepOutcome::Executed => continue,
+                        StepOutcome::Wfi => {
+                            // An interrupt that arrived since the WFI
+                            // step keeps the core awake for its turn.
+                            if !self.park(hyp, cpu) {
+                                continue;
+                            }
+                        }
+                        StepOutcome::Halted(code) if code == spec.done => {}
+                        StepOutcome::Halted(code) => {
+                            fault.get_or_insert(Stop::Halted { cpu, code });
+                        }
+                        StepOutcome::FetchFailure(pc) => {
+                            fault.get_or_insert(Stop::FetchFailure { cpu, pc });
+                        }
+                    }
+                    break;
+                }
+                self.service_wakeups(hyp);
+            }
+            if let Some(stop) = fault {
+                run.stop = stop;
+                return run;
+            }
+        }
+    }
 
     /// Parks `cpu` after a step returned [`StepOutcome::Wfi`]: the core
     /// leaves the runnable set and registers a [`Waker`] (its earliest
@@ -500,13 +641,28 @@ impl Machine {
     /// them, their timer bank re-armed, their SPI retargeted). Returns
     /// true if any core rejoined the runnable set.
     ///
-    /// Two cost tiers keep this affordable after every step: nothing
+    /// Three cost tiers keep this affordable after every quantum: with
+    /// nothing parked and nothing posted it returns at once, nothing
     /// happened is O(1) (one epoch-pair compare), and a world switch on
     /// a running core — which churns its own timers and list registers
     /// every trap — costs one cached-u64 compare per parked core, never
     /// a re-poll. Only a change that actually touches a parked core's
     /// per-CPU epochs reaches `try_unpark`.
+    #[inline]
     pub fn service_wakeups(&mut self, hyp: &mut dyn Hypervisor) -> bool {
+        if self.runnable.len() == self.cores.len() && self.wheel.is_empty() {
+            // Nothing parked and nothing posted: there is no core to
+            // wake. Skipping the epoch bookkeeping is exact, because a
+            // rescan only re-polls parked cores whose own epochs moved
+            // since they parked.
+            return false;
+        }
+        self.service_parked(hyp)
+    }
+
+    /// [`Machine::service_wakeups`] once a core is parked or an event
+    /// is posted.
+    fn service_parked(&mut self, hyp: &mut dyn Hypervisor) -> bool {
         let mut woke = false;
         let now = self.counter.cycles();
         while let Some(ev) = self.wheel.pop_due(now) {
@@ -1792,10 +1948,10 @@ impl Machine {
             return StepOutcome::Executed;
         }
         if self.cores[cpu].wfi {
-            // Idle. A wheel-driven run loop reacts by parking the core
+            // Idle. [`Machine::exec`] reacts by parking the core
             // ([`Machine::park`]) so it costs nothing until an event
-            // targets it; a legacy polling loop just sees `Wfi` again
-            // next round.
+            // targets it; a caller stepping by hand just sees `Wfi`
+            // again next step.
             self.counter.advance(0);
             return StepOutcome::Wfi;
         }

@@ -2,7 +2,7 @@
 //! Sections 2-6, validated instruction by instruction.
 
 use crate::isa::{Asm, Instr, Special};
-use crate::machine::{ExitInfo, Hypervisor, Machine, MachineConfig, StepOutcome};
+use crate::machine::{ExecSpec, ExitInfo, Hypervisor, Machine, MachineConfig, StepOutcome, Stop};
 use crate::pstate::Pstate;
 use crate::ArchLevel;
 use neve_core::VncrEl2;
@@ -100,6 +100,60 @@ fn arithmetic_program_runs_and_halts() {
     assert_eq!(m.core(0).gpr(1), 15);
     assert!(m.counter.cycles() > 0);
     assert_eq!(m.counter.traps_total(), 0);
+}
+
+/// Two cores under `exec` with quanta `[1, 3]`: cpu 0 runs `MovImm`
+/// then halts with code 9; cpu 1 spins forever.
+fn exec_pair(done: u16, budget: u64, stop_after: u64) -> (Machine, crate::machine::Executed) {
+    let mut m = machine(ArchLevel::V8_0);
+    let mut a = Asm::new(0x1000);
+    a.i(Instr::MovImm(0, 1)).i(Instr::Halt(9));
+    m.load(a.assemble());
+    let mut b = Asm::new(0x2000);
+    let top = b.label();
+    b.bind(top);
+    b.i(Instr::MovImm(1, 2));
+    b.b(top);
+    m.load(b.assemble());
+    enter_guest(&mut m, 0, 0, 0x1000);
+    enter_guest(&mut m, 1, 0, 0x2000);
+    let spec = ExecSpec {
+        budget,
+        done,
+        quanta: &[1, 3],
+    };
+    let mut hyp = skipping_hyp();
+    let run = m.exec(&mut hyp, spec, |_, _, rounds| {
+        if rounds == stop_after {
+            std::ops::ControlFlow::Break(())
+        } else {
+            std::ops::ControlFlow::Continue(())
+        }
+    });
+    (m, run)
+}
+
+#[test]
+fn exec_ends_a_faulted_run_after_its_round() {
+    // Round 2: cpu 0 halts with a code that is not `done`; cpu 1 still
+    // takes its 3-step turn before the run ends.
+    let (m, run) = exec_pair(0xd07e, 100, u64::MAX);
+    assert_eq!(run.stop, Stop::Halted { cpu: 0, code: 9 });
+    assert_eq!((run.rounds, run.steps), (2, 8));
+    assert_eq!(m.steps_retired(), 8);
+}
+
+#[test]
+fn exec_lets_a_done_core_leave_and_counts_the_budget_in_rounds() {
+    // With 9 as the done code cpu 0 leaves quietly in round 2 and cpu 1
+    // runs on alone.
+    let (_, run) = exec_pair(9, 100, 4);
+    assert_eq!(run.stop, Stop::Requested);
+    assert_eq!((run.rounds, run.steps), (4, 4 + 4 + 3 + 3));
+    // Exactly `budget` rounds run; the next one is refused.
+    let (_, run) = exec_pair(9, 3, u64::MAX);
+    assert_eq!(run.stop, Stop::BudgetExhausted);
+    assert_eq!((run.rounds, run.steps), (3, 4 + 4 + 3));
 }
 
 #[test]

@@ -19,7 +19,10 @@ use crate::Phase;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultCause {
     /// The run loop hit its step-budget watchdog: the guest stack never
-    /// reached the completion hypercall within `budget` machine steps.
+    /// reached the completion hypercall within `budget` rounds. A round
+    /// steps every runnable core for its quantum: one machine step on a
+    /// single-core benchmark, one sender step plus the receiver's burst
+    /// on the IPI benchmark.
     StepBudgetExhausted {
         /// The budget that was exhausted.
         budget: u64,
@@ -31,8 +34,8 @@ pub enum FaultCause {
         code: u16,
     },
     /// The machine stopped in a way the benchmark protocol does not
-    /// allow (an unexpected `wfi`, a fetch failure, a stopped IPI
-    /// receiver). The detail string is deterministic.
+    /// allow (a fetch failure, or every core asleep with no event
+    /// armed). The detail string is deterministic.
     UnexpectedStop {
         /// Deterministic human-readable description.
         detail: String,
@@ -93,7 +96,8 @@ pub struct SimFault {
     pub el: u8,
     /// World-switch phase the cycle counter was attributing to.
     pub phase: Phase,
-    /// Machine steps retired in the run loop before the fault.
+    /// Run-loop rounds started before the fault, in the step budget's
+    /// unit (see [`FaultCause::StepBudgetExhausted`]).
     pub steps: u64,
     /// The last few rendered events from the provenance ring (empty
     /// when no trace was attached).

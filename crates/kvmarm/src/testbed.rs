@@ -19,7 +19,7 @@ use crate::layout;
 use crate::rosters;
 use crate::vcpu::Ctx;
 use neve_armv8::isa::Instr;
-use neve_armv8::machine::{Machine, MachineConfig, StepOutcome};
+use neve_armv8::machine::{ExecSpec, Executed, Machine, MachineConfig, Stop};
 use neve_armv8::pstate::Pstate;
 use neve_armv8::trace::Trace;
 use neve_armv8::{ArchLevel, FaultPlan};
@@ -29,7 +29,8 @@ use neve_cycles::{FaultCause, SimFault};
 use neve_gic::vgic::ICH_HCR_EN;
 use neve_memsim::{FrameAlloc, PageTable, Perms};
 use neve_sysreg::bits::{spsr, vttbr};
-use neve_sysreg::SysReg;
+use neve_sysreg::{RegId, SysReg};
+use std::ops::ControlFlow;
 
 /// An evaluation configuration (one column of Tables 1/6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,8 +93,10 @@ pub enum MicroBench {
     },
     /// Idle vCPU woken only by timer interrupts: the payload sits in
     /// `wfi` forever and its vector acknowledges whatever fires. The
-    /// consolidation rig's shape — it never halts, so drive it with a
-    /// tick loop ([`TestBed::new_tick`]), not [`TestBed::run`].
+    /// consolidation rig's shape — it never halts, so build it with
+    /// [`TestBed::new_tick`] and drive it with [`TestBed::try_exec`],
+    /// whose between-rounds callback re-arms the ticks and decides when
+    /// to stop, not with [`TestBed::run`].
     Idle,
 }
 
@@ -128,6 +131,19 @@ pub const DEFAULT_STEP_BUDGET: u64 = 80_000_000;
 
 /// Provenance-ring lines carried in a [`SimFault`] diagnostic snapshot.
 const FAULT_TRACE_LINES: usize = 16;
+
+/// The payload's remaining-iterations counter (x10), regardless of
+/// which context currently owns the hardware.
+fn payload_counter(m: &Machine, hyp: &HostHyp) -> u64 {
+    match hyp.vcpus[0].ctx {
+        Ctx::L1Payload | Ctx::L2 => m.core(0).gpr(10),
+        // The payload's x10 sits in the guest hypervisor's save area
+        // while the hypervisor runs.
+        _ => m
+            .mem
+            .read_u64(layout::gh_save_area(0) + crate::guesthyp::slots::GPRS + 8 * 10),
+    }
+}
 
 impl TestBed {
     /// Builds the full stack for `cfg` running `bench` with `iters`
@@ -394,7 +410,12 @@ impl TestBed {
         self
     }
 
-    /// Overrides the run-loop watchdog (clamped to at least 1 step).
+    /// Overrides the run-loop watchdog (clamped to at least 1). The
+    /// unit is one round of [`Machine::exec`]: every runnable core
+    /// stepped for its quantum. On the single-core benchmarks a round
+    /// is one machine step; on the IPI benchmark it is one sender step
+    /// plus the receiver's burst. A run that finishes within `budget`
+    /// rounds succeeds.
     pub fn set_step_budget(&mut self, budget: u64) -> &mut Self {
         self.step_budget = budget.max(1);
         self
@@ -465,15 +486,110 @@ impl TestBed {
     /// A [`SimFault`] describing the crash, stall, or measurement
     /// shortfall.
     pub fn try_run_region(&mut self, iters: u64) -> Result<(Delta, u64), SimFault> {
+        let eoi = self.bench == MicroBench::VirtualEoi;
+        // The IPI receiver gets a burst of steps per sender step so
+        // delivery latency is not dominated by the interleave ratio.
+        let quanta: &[u32] = if self.bench == MicroBench::VirtualIpi {
+            &[1, 4]
+        } else {
+            &[]
+        };
+        let mut snap = None;
+        // The EOI benchmark measures only the acknowledge + complete
+        // pair; the re-arm hypercall between iterations is excluded, as
+        // in kvm-unit-tests where the interrupt is raised outside the
+        // timed region. `bracket` holds the snapshot taken before an
+        // `EOIR` step until the step has run.
+        let mut bracket = None;
+        let mut measured = Delta::default();
+        let mut done = 0u64;
+        let run = self.try_exec(quanta, |m, hyp, rounds| {
+            // A borrow, not `take()`: moving the snapshot out would copy
+            // it on every round, bracket or not.
+            if let Some(s) = &bracket {
+                done += 1;
+                if done > WARMUP {
+                    measured.accumulate(&m.counter.delta_since(s));
+                }
+                bracket = None;
+            }
+            if m.core(0).halted == Some(guests::DONE) {
+                return ControlFlow::Break(());
+            }
+            if eoi {
+                let at_eoir = matches!(
+                    m.peek(m.core(0).pc),
+                    Some(Instr::Msr(RegId::Plain(SysReg::IccEoir1El1), _))
+                );
+                if at_eoir {
+                    bracket = Some(m.counter.snapshot());
+                }
+            } else if rounds > 0 && snap.is_none() && payload_counter(m, hyp) == iters {
+                // Warm-up done: the iteration counter dropped to `iters`.
+                snap = Some(m.counter.snapshot());
+                if let Some(t) = &mut m.trace {
+                    t.clear();
+                }
+            }
+            ControlFlow::Continue(())
+        })?;
+        if eoi {
+            // Both guards matter under fault injection: enough pairs for
+            // the requested per-op figure, and at least one pair past
+            // the warm-up so the division below is meaningful
+            // (`done - WARMUP` must not underflow).
+            if done < iters || done <= WARMUP {
+                let cause = FaultCause::EoiShortfall {
+                    expected: iters,
+                    seen: done,
+                };
+                return Err(self.fault(cause, run.rounds));
+            }
+            return Ok((measured, done - WARMUP));
+        }
+        let Some(snap) = snap else {
+            return Err(self.fault(FaultCause::MissedSnapshot, run.rounds));
+        };
+        Ok((self.m.counter.delta_since(&snap), iters))
+    }
+
+    /// Drives [`Machine::exec`] under this bed's step budget, with cores
+    /// that halt with [`guests::DONE`] leaving the run quietly, and
+    /// turns every other way a run can end into a [`SimFault`].
+    /// `quanta` and `between` are as for [`Machine::exec`].
+    ///
+    /// # Errors
+    ///
+    /// A [`SimFault`] for a payload crash, fetch failure, budget
+    /// exhaustion, or a full-machine sleep with no event armed.
+    pub fn try_exec(
+        &mut self,
+        quanta: &[u32],
+        between: impl FnMut(&mut Machine, &mut HostHyp, u64) -> ControlFlow<()>,
+    ) -> Result<Executed, SimFault> {
         // Run boundaries are the only place the cost model may have
         // been reconfigured; revalidate the flat table once here so
         // the per-step fast path never has to.
         self.m.refresh_cost_table();
-        match self.bench {
-            MicroBench::VirtualEoi => self.run_eoi(iters),
-            MicroBench::VirtualIpi => self.run_ipi(iters),
-            _ => self.run_simple(iters),
-        }
+        let budget = self.step_budget;
+        let spec = ExecSpec {
+            budget,
+            done: guests::DONE,
+            quanta,
+        };
+        let run = self.m.exec(&mut self.hyp, spec, between);
+        let cause = match run.stop {
+            Stop::Requested => return Ok(run),
+            Stop::BudgetExhausted => FaultCause::StepBudgetExhausted { budget },
+            Stop::Deadlock => FaultCause::UnexpectedStop {
+                detail: "no runnable core and no pending event".into(),
+            },
+            Stop::Halted { code, .. } => FaultCause::PayloadCrash { code },
+            Stop::FetchFailure { pc, .. } => FaultCause::UnexpectedStop {
+                detail: format!("fetch failure at {pc:#x}"),
+            },
+        };
+        Err(self.fault(cause, run.rounds))
     }
 
     /// Builds a [`SimFault`] with the cpu0 diagnostic snapshot.
@@ -496,210 +612,6 @@ impl TestBed {
             steps,
             recent_events,
         }
-    }
-
-    /// Single-CPU benchmarks: run until the payload halts, snapshotting
-    /// after the warm-up iterations.
-    fn run_simple(&mut self, iters: u64) -> Result<(Delta, u64), SimFault> {
-        // Warm-up: run until the iteration counter (x10 at L1/L2)
-        // drops to `iters`.
-        let budget = self.step_budget;
-        let mut snap = None;
-        let mut steps: u64 = 0;
-        loop {
-            let out = self.m.step(&mut self.hyp, 0);
-            steps += 1;
-            if steps >= budget {
-                return Err(self.fault(FaultCause::StepBudgetExhausted { budget }, steps));
-            }
-            match out {
-                StepOutcome::Executed => {}
-                StepOutcome::Halted(code) if code == guests::DONE => break,
-                StepOutcome::Halted(code) => {
-                    return Err(self.fault(FaultCause::PayloadCrash { code }, steps));
-                }
-                StepOutcome::Wfi => {
-                    return Err(self.fault(
-                        FaultCause::UnexpectedStop {
-                            detail: "unexpected wfi".into(),
-                        },
-                        steps,
-                    ));
-                }
-                StepOutcome::FetchFailure(pc) => {
-                    return Err(self.fault(
-                        FaultCause::UnexpectedStop {
-                            detail: format!("fetch failure at {pc:#x}"),
-                        },
-                        steps,
-                    ));
-                }
-            }
-            if snap.is_none() && self.payload_counter() == iters {
-                snap = Some(self.m.counter.snapshot());
-                if let Some(t) = &mut self.m.trace {
-                    t.clear();
-                }
-            }
-        }
-        let Some(snap) = snap else {
-            return Err(self.fault(FaultCause::MissedSnapshot, steps));
-        };
-        Ok((self.m.counter.delta_since(&snap), iters))
-    }
-
-    /// The payload's remaining-iterations counter (x10), regardless of
-    /// which context currently owns the hardware.
-    fn payload_counter(&self) -> u64 {
-        match self.hyp.vcpus[0].ctx {
-            Ctx::L1Payload | Ctx::L2 => self.m.core(0).gpr(10),
-            _ => {
-                // The payload's x10 sits in the guest hypervisor's save
-                // area while the hypervisor runs.
-                let save = layout::gh_save_area(0);
-                self.m
-                    .mem
-                    .read_u64(save + crate::guesthyp::slots::GPRS + 8 * 10)
-            }
-        }
-    }
-
-    /// The IPI benchmark: interleave both CPUs.
-    fn run_ipi(&mut self, iters: u64) -> Result<(Delta, u64), SimFault> {
-        let budget = self.step_budget;
-        let mut snap = None;
-        let mut steps: u64 = 0;
-        loop {
-            let out0 = self.m.step(&mut self.hyp, 0);
-            // A wake-up the sender's step made deliverable (its SGI
-            // bumps the GIC epoch) unparks the receiver before the
-            // burst decides whether to skip it.
-            self.m.service_wakeups(&mut self.hyp);
-            // The receiver gets a burst of steps so delivery latency is
-            // not dominated by the interleave ratio. A receiver that
-            // went to WFI parks instead of burning the burst polling
-            // it (the benchmark's own receiver spins and never takes
-            // this path; fault-injected or replayed variants do).
-            for _ in 0..4 {
-                if self.m.is_parked(1) {
-                    break;
-                }
-                let r = self.m.step(&mut self.hyp, 1);
-                if r == StepOutcome::Wfi {
-                    self.m.park(&mut self.hyp, 1);
-                    continue;
-                }
-                if !matches!(r, StepOutcome::Executed | StepOutcome::Wfi) {
-                    return Err(self.fault(
-                        FaultCause::UnexpectedStop {
-                            detail: format!("receiver stopped: {r:?}"),
-                        },
-                        steps,
-                    ));
-                }
-            }
-            steps += 1;
-            if steps >= budget {
-                return Err(self.fault(FaultCause::StepBudgetExhausted { budget }, steps));
-            }
-            match out0 {
-                StepOutcome::Executed | StepOutcome::Wfi => {}
-                StepOutcome::Halted(code) if code == guests::DONE => break,
-                StepOutcome::Halted(code) => {
-                    return Err(self.fault(FaultCause::PayloadCrash { code }, steps));
-                }
-                StepOutcome::FetchFailure(pc) => {
-                    return Err(self.fault(
-                        FaultCause::UnexpectedStop {
-                            detail: format!("fetch failure at {pc:#x}"),
-                        },
-                        steps,
-                    ));
-                }
-            }
-            if snap.is_none() && self.payload_counter() == iters {
-                snap = Some(self.m.counter.snapshot());
-                if let Some(t) = &mut self.m.trace {
-                    t.clear();
-                }
-            }
-        }
-        let Some(snap) = snap else {
-            return Err(self.fault(FaultCause::MissedSnapshot, steps));
-        };
-        Ok((self.m.counter.delta_since(&snap), iters))
-    }
-
-    /// The EOI benchmark measures only the acknowledge + complete pair;
-    /// the re-arm hypercall between iterations is excluded, as in
-    /// kvm-unit-tests where the interrupt is raised outside the timed
-    /// region.
-    fn run_eoi(&mut self, iters: u64) -> Result<(Delta, u64), SimFault> {
-        let budget = self.step_budget;
-        let mut measured = Delta::default();
-        let mut done = 0u64;
-        let mut steps: u64 = 0;
-        let mut measuring_snap = None;
-        loop {
-            // Peek at the next instruction to bracket the measured
-            // region: [Mrs IAR .. Msr EOIR].
-            let pc = self.m.core(0).pc;
-            let at_eoir = matches!(
-                self.fetch_at(pc),
-                Some(Instr::Msr(
-                    neve_sysreg::RegId::Plain(SysReg::IccEoir1El1),
-                    _
-                ))
-            );
-            if at_eoir {
-                measuring_snap = Some(self.m.counter.snapshot());
-            }
-            let out = self.m.step(&mut self.hyp, 0);
-            steps += 1;
-            if steps >= budget {
-                return Err(self.fault(FaultCause::StepBudgetExhausted { budget }, steps));
-            }
-            if let Some(snapped) = measuring_snap.take() {
-                let d = self.m.counter.delta_since(&snapped);
-                done += 1;
-                if done > WARMUP {
-                    measured.accumulate(&d);
-                }
-            }
-            match out {
-                StepOutcome::Executed => {}
-                StepOutcome::Halted(code) if code == guests::DONE => break,
-                StepOutcome::Halted(code) => {
-                    return Err(self.fault(FaultCause::PayloadCrash { code }, steps));
-                }
-                other => {
-                    return Err(self.fault(
-                        FaultCause::UnexpectedStop {
-                            detail: format!("unexpected {other:?}"),
-                        },
-                        steps,
-                    ));
-                }
-            }
-        }
-        // Both guards matter under fault injection: enough pairs for
-        // the requested per-op figure, and at least one pair past the
-        // warm-up so the division below is meaningful (`done - WARMUP`
-        // must not underflow).
-        if done < iters || done <= WARMUP {
-            return Err(self.fault(
-                FaultCause::EoiShortfall {
-                    expected: iters,
-                    seen: done,
-                },
-                steps,
-            ));
-        }
-        Ok((measured, done - WARMUP))
-    }
-
-    fn fetch_at(&self, pc: u64) -> Option<Instr> {
-        self.m.peek(pc)
     }
 
     // ------------------------------------------------------------------
@@ -782,9 +694,9 @@ impl TestBed {
     /// world-switch roster, so a rig-armed deadline survives VM
     /// entry/exit — unlike the EL1 virtual timer, which the guest
     /// hypervisor's switch code save/restores. The payloads never
-    /// halt: drive the bed with a tick loop over
-    /// [`Machine::step`]/[`Machine::park`]/[`Machine::advance_to_wake`],
-    /// not [`TestBed::run`].
+    /// halt: drive the bed with [`TestBed::try_exec`], re-arming the
+    /// ticks and deciding when to stop in its between-rounds callback,
+    /// not with [`TestBed::run`].
     pub fn new_tick(cfg: ArmConfig, vcpus: usize) -> Self {
         assert!(vcpus >= 1, "a consolidation stack needs at least one vCPU");
         let bench = MicroBench::Idle;
@@ -823,10 +735,11 @@ impl TestBed {
         }
     }
 
-    /// Wheel-driven run loop: steps only the runnable set, parks cores
-    /// that hit WFI, services wake-ups after every step, and — when
-    /// every live core is parked — jumps the clock to the next pending
-    /// event instead of polling. A parked core costs zero host steps.
+    /// Wheel-driven run loop: [`TestBed::try_exec`] with one step per
+    /// core per round. Steps only the runnable set, parks cores that
+    /// hit WFI, services wake-ups after every step, and — when every
+    /// live core is parked — jumps the clock to the next pending event
+    /// instead of polling. A parked core costs zero host steps.
     ///
     /// Runs until `stop` returns true (checked between rounds), a core
     /// crashes, or the step budget runs out. Cores that halt with
@@ -842,54 +755,13 @@ impl TestBed {
     where
         F: FnMut(&Machine) -> bool,
     {
-        self.m.refresh_cost_table();
-        let budget = self.step_budget;
-        let mut halted = vec![false; self.m.ncpus()];
-        let mut steps: u64 = 0;
-        let mut round: Vec<usize> = Vec::new();
-        loop {
-            if stop(&self.m) {
-                return Ok(steps);
+        let run = self.try_exec(&[], |m, _, _| {
+            if stop(m) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-            round.clear();
-            round.extend(self.m.runnable().iter().copied().filter(|&c| !halted[c]));
-            if round.is_empty() {
-                // Every live core is parked: leap to the next event.
-                if !self.m.advance_to_wake(&mut self.hyp) {
-                    return Err(self.fault(
-                        FaultCause::UnexpectedStop {
-                            detail: "no runnable core and no pending event".into(),
-                        },
-                        steps,
-                    ));
-                }
-                continue;
-            }
-            for &cpu in &round {
-                match self.m.step(&mut self.hyp, cpu) {
-                    StepOutcome::Executed => {}
-                    StepOutcome::Wfi => {
-                        self.m.park(&mut self.hyp, cpu);
-                    }
-                    StepOutcome::Halted(code) if code == guests::DONE => halted[cpu] = true,
-                    StepOutcome::Halted(code) => {
-                        return Err(self.fault(FaultCause::PayloadCrash { code }, steps));
-                    }
-                    StepOutcome::FetchFailure(pc) => {
-                        return Err(self.fault(
-                            FaultCause::UnexpectedStop {
-                                detail: format!("fetch failure at {pc:#x}"),
-                            },
-                            steps,
-                        ));
-                    }
-                }
-                steps += 1;
-                if steps >= budget {
-                    return Err(self.fault(FaultCause::StepBudgetExhausted { budget }, steps));
-                }
-                self.m.service_wakeups(&mut self.hyp);
-            }
-        }
+        })?;
+        Ok(run.steps)
     }
 }

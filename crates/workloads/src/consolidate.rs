@@ -35,12 +35,13 @@
 //! every jobs count (asserted by `neve consolidate --smoke` in CI).
 
 use crate::cache;
+use neve_armv8::machine::Machine;
 use neve_cycles::Phase;
 use neve_json::JsonValue;
-use neve_kvmarm::testbed::DEFAULT_STEP_BUDGET;
 use neve_kvmarm::{ArmConfig, ParaMode, TestBed};
 use neve_sysreg::SysReg;
 use neve_vtimer::PPI_HPTIMER;
+use std::ops::ControlFlow;
 use std::path::Path;
 
 /// Where `neve consolidate` records the table.
@@ -157,9 +158,7 @@ fn measure_row(
     cfg: ArmConfig,
     spec: ConsolidateSpec,
 ) -> Result<ConsolidateRow, String> {
-    use neve_armv8::machine::StepOutcome;
     let mut tb = TestBed::new_tick(cfg, spec.vcpus);
-    tb.m.refresh_cost_table();
     let ncpus = spec.vcpus;
     let target = spec.warmup_ticks + spec.measured_ticks;
 
@@ -176,73 +175,50 @@ fn measure_row(
         tb.m.timers.write(cpu, SysReg::CnthpCtlEl2, 1);
     }
 
-    let busy = |tb: &TestBed| tb.m.counter.cycles() - tb.m.counter.cycles_in(Phase::Idle);
+    let busy = |m: &Machine| m.counter.cycles() - m.counter.cycles_in(Phase::Idle);
     let mut ticks = vec![0u64; ncpus];
     let mut window: Option<(u64, u64)> = None; // (busy, ticks) at warm-up boundary
-    let mut steps: u64 = 0;
-    let budget = DEFAULT_STEP_BUDGET;
-    loop {
-        // Re-arm every expired deadline *before* stepping anything:
-        // the timer is level-triggered, so an expired cval left armed
-        // re-delivers the same tick on every interrupt poll. A cpu
-        // that has taken all its ticks gets its timer disabled
-        // instead, so the run drains.
-        let now = tb.m.counter.cycles();
-        for cpu in 0..ncpus {
-            if ticks[cpu] < target && now >= deadline[cpu] {
-                ticks[cpu] += 1;
-                if ticks[cpu] == target {
-                    tb.m.timers.write(cpu, SysReg::CnthpCtlEl2, 0);
-                } else {
-                    deadline[cpu] += TICK_PERIOD;
-                    tb.m.timers.write(cpu, SysReg::CnthpCvalEl2, deadline[cpu]);
+    let run = tb
+        .try_exec(&[], |m, _, _| {
+            // Re-arm every expired deadline *before* stepping anything:
+            // the timer is level-triggered, so an expired cval left
+            // armed re-delivers the same tick on every interrupt poll.
+            // A cpu that has taken all its ticks gets its timer
+            // disabled instead, so the run drains.
+            let now = m.counter.cycles();
+            for cpu in 0..ncpus {
+                if ticks[cpu] < target && now >= deadline[cpu] {
+                    ticks[cpu] += 1;
+                    if ticks[cpu] == target {
+                        m.timers.write(cpu, SysReg::CnthpCtlEl2, 0);
+                    } else {
+                        deadline[cpu] += TICK_PERIOD;
+                        m.timers.write(cpu, SysReg::CnthpCvalEl2, deadline[cpu]);
+                    }
                 }
             }
-        }
-        let round: Vec<usize> = tb.m.runnable().to_vec();
-        if round.is_empty() {
-            // Quiescent: every core is parked, all delivered ticks
-            // fully processed — the only honest window boundary.
-            if window.is_none() && ticks.iter().all(|&t| t >= spec.warmup_ticks) {
-                window = Some((busy(&tb), ticks.iter().sum()));
-            }
-            if ticks.iter().all(|&t| t >= target) {
-                break;
-            }
-            if !tb.m.advance_to_wake(&mut tb.hyp) {
-                return Err(format!("{label}: no runnable core and no pending event"));
-            }
-            continue;
-        }
-        for cpu in round {
-            match tb.m.step(&mut tb.hyp, cpu) {
-                StepOutcome::Executed => {}
-                StepOutcome::Wfi => {
-                    tb.m.park(&mut tb.hyp, cpu);
+            if m.runnable().is_empty() {
+                // Quiescent: every core is parked, all delivered ticks
+                // fully processed — the only honest window boundary.
+                if window.is_none() && ticks.iter().all(|&t| t >= spec.warmup_ticks) {
+                    window = Some((busy(m), ticks.iter().sum()));
                 }
-                StepOutcome::Halted(code) => {
-                    return Err(format!("{label}: payload halted unexpectedly ({code:#x})"));
-                }
-                StepOutcome::FetchFailure(pc) => {
-                    return Err(format!("{label}: fetch failure at {pc:#x}"));
+                if ticks.iter().all(|&t| t >= target) {
+                    return ControlFlow::Break(());
                 }
             }
-            steps += 1;
-            if steps >= budget {
-                return Err(format!("{label}: step budget exhausted ({budget})"));
-            }
-            tb.m.service_wakeups(&mut tb.hyp);
-        }
-    }
+            ControlFlow::Continue(())
+        })
+        .map_err(|f| format!("{label}: {}", f.cause))?;
     let Some((busy0, ticks0)) = window else {
         return Err(format!("{label}: warm-up window never closed"));
     };
     let total_ticks: u64 = ticks.iter().sum();
     Ok(ConsolidateRow {
         label: label.to_string(),
-        busy_cycles: busy(&tb) - busy0,
+        busy_cycles: busy(&tb.m) - busy0,
         ticks: total_ticks - ticks0,
-        host_steps: steps,
+        host_steps: run.steps,
     })
 }
 

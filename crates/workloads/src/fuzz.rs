@@ -354,13 +354,7 @@ fn run_leg(m: &mut Machine) -> (LegEnd, u64, u64) {
     let start_steps = m.steps_retired();
     let start_cycles = m.counter.cycles();
     let mut h = EmulHyp::new();
-    let mut outcome = StepOutcome::Executed;
-    for _ in 0..STEP_BUDGET {
-        outcome = m.step(&mut h, 0);
-        if outcome != StepOutcome::Executed {
-            break;
-        }
-    }
+    let outcome = m.run(&mut h, 0, STEP_BUDGET);
     let mut gprs = [0u64; 31];
     for (r, g) in gprs.iter_mut().enumerate() {
         *g = m.core(0).gpr(r as u8);

@@ -226,37 +226,26 @@ fn compare_final(a: &TestBed, b: &TestBed, ncpus: usize, (la, lb): Sides) -> Opt
     None
 }
 
-/// Runs `bench` under ARMv8.3-NV and NEVE in lockstep (same guest
-/// hypervisor flavour, same payloads, same interleave) with the step
-/// checker attached to both machines, and reports every way the two
-/// runs disagreed — plus the deferral accounting identity.
-pub fn diff_pair(guest_vhe: bool, bench: MicroBench, iters: u64) -> PairReport {
-    let cfg = |neve| ArmConfig::Nested {
-        guest_vhe,
-        neve,
-        para: ParaMode::None,
-    };
-    let mut v83 = TestBed::new(cfg(false), bench, iters);
-    let mut neve = TestBed::new(cfg(true), bench, iters);
-    v83.m.attach_checker();
-    neve.m.attach_checker();
-    let ncpus = bench.ncpus();
-
+/// Steps two stacks of the same benchmark in lockstep, mirroring the
+/// measured IPI interleave (each sender step is followed by a 4-step
+/// receiver burst), and compares every step outcome and, after every
+/// round, the core state. Stops at the first divergence, when `a`'s
+/// sender halts or fails to fetch, or after [`LOCKSTEP_BUDGET`] rounds.
+/// Returns the rounds stepped and the violations found.
+fn lockstep(a: &mut TestBed, b: &mut TestBed, ncpus: usize, (la, lb): Sides) -> (u64, Vec<String>) {
+    use neve_armv8::machine::StepOutcome as O;
     let mut violations = Vec::new();
     let mut steps = 0u64;
     loop {
-        use neve_armv8::machine::StepOutcome as O;
-        let oa = v83.m.step(&mut v83.hyp, 0);
-        let ob = neve.m.step(&mut neve.hyp, 0);
+        let oa = a.m.step(&mut a.hyp, 0);
+        let ob = b.m.step(&mut b.hyp, 0);
         if ncpus > 1 {
-            // Mirror the measured IPI interleave: the receiver gets a
-            // burst of steps per sender step.
             for _ in 0..4 {
-                let ra = v83.m.step(&mut v83.hyp, 1);
-                let rb = neve.m.step(&mut neve.hyp, 1);
+                let ra = a.m.step(&mut a.hyp, 1);
+                let rb = b.m.step(&mut b.hyp, 1);
                 if ra != rb {
                     violations.push(format!(
-                        "diverged at step {steps}: receiver outcome {ra:?} (v8.3) vs {rb:?} (NEVE)"
+                        "diverged at step {steps}: receiver outcome {ra:?} ({la}) vs {rb:?} ({lb})"
                     ));
                 }
             }
@@ -264,10 +253,10 @@ pub fn diff_pair(guest_vhe: bool, bench: MicroBench, iters: u64) -> PairReport {
         steps += 1;
         if oa != ob {
             violations.push(format!(
-                "diverged at step {steps}: outcome {oa:?} (v8.3) vs {ob:?} (NEVE)"
+                "diverged at step {steps}: outcome {oa:?} ({la}) vs {ob:?} ({lb})"
             ));
         }
-        if let Some(d) = compare_cores(&v83, &neve, ncpus, ("v8.3", "NEVE")) {
+        if let Some(d) = compare_cores(a, b, ncpus, (la, lb)) {
             violations.push(d.to_string());
         }
         if !violations.is_empty() {
@@ -284,6 +273,26 @@ pub fn diff_pair(guest_vhe: bool, bench: MicroBench, iters: u64) -> PairReport {
             break;
         }
     }
+    (steps, violations)
+}
+
+/// Runs `bench` under ARMv8.3-NV and NEVE in lockstep (same guest
+/// hypervisor flavour, same payloads, same interleave) with the step
+/// checker attached to both machines, and reports every way the two
+/// runs disagreed — plus the deferral accounting identity.
+pub fn diff_pair(guest_vhe: bool, bench: MicroBench, iters: u64) -> PairReport {
+    let cfg = |neve| ArmConfig::Nested {
+        guest_vhe,
+        neve,
+        para: ParaMode::None,
+    };
+    let mut v83 = TestBed::new(cfg(false), bench, iters);
+    let mut neve = TestBed::new(cfg(true), bench, iters);
+    v83.m.attach_checker();
+    neve.m.attach_checker();
+    let ncpus = bench.ncpus();
+
+    let (steps, mut violations) = lockstep(&mut v83, &mut neve, ncpus, ("v8.3", "NEVE"));
 
     if violations.is_empty() {
         if let Some(d) = compare_final(&v83, &neve, ncpus, ("v8.3", "NEVE")) {
@@ -354,44 +363,7 @@ pub fn engine_lockstep(guest_vhe: bool, neve: bool, bench: MicroBench, iters: u6
     assert_eq!(oracle.m.active_engine(), Engine::Interp);
     let ncpus = bench.ncpus();
 
-    let mut violations = Vec::new();
-    let mut steps = 0u64;
-    loop {
-        use neve_armv8::machine::StepOutcome as O;
-        let oa = fast.m.step(&mut fast.hyp, 0);
-        let ob = oracle.m.step(&mut oracle.hyp, 0);
-        if ncpus > 1 {
-            for _ in 0..4 {
-                let ra = fast.m.step(&mut fast.hyp, 1);
-                let rb = oracle.m.step(&mut oracle.hyp, 1);
-                if ra != rb {
-                    violations.push(format!(
-                        "diverged at step {steps}: receiver outcome {ra:?} (uop) vs {rb:?} (interp)"
-                    ));
-                }
-            }
-        }
-        steps += 1;
-        if oa != ob {
-            violations.push(format!(
-                "diverged at step {steps}: outcome {oa:?} (uop) vs {ob:?} (interp)"
-            ));
-        }
-        if let Some(d) = compare_cores(&fast, &oracle, ncpus, ("uop", "interp")) {
-            violations.push(d.to_string());
-        }
-        if !violations.is_empty() {
-            break;
-        }
-        match oa {
-            O::Executed | O::Wfi => {}
-            O::Halted(_) | O::FetchFailure(_) => break,
-        }
-        if steps >= LOCKSTEP_BUDGET {
-            violations.push(format!("lockstep budget exhausted after {steps} steps"));
-            break;
-        }
-    }
+    let (_, mut violations) = lockstep(&mut fast, &mut oracle, ncpus, ("uop", "interp"));
 
     if violations.is_empty() {
         if let Some(d) = compare_final(&fast, &oracle, ncpus, ("uop", "interp")) {
@@ -586,96 +558,20 @@ impl OracleReport {
 /// Scheduler-determinism oracle: the discrete-event wheel may change
 /// *when* host work happens, never the simulated numbers.
 ///
-/// Three identities, each a bug detector for the wheel:
+/// Two identities, each a bug detector for the wheel:
 ///
-/// 1. **Loop equivalence** — a single-core cell driven by the legacy
-///    polling loop and by the wheel loop retires the same steps and
-///    lands on the same simulated cycle count (with one runnable core
-///    the wheel must degenerate to the old loop exactly).
-/// 2. **Repeat-run bit-identity** — a multi-core wheel scenario (IPI
+/// 1. **Repeat-run bit-identity** — a multi-core wheel scenario (IPI
 ///    storm over parked receivers, exercising park/wake and the
 ///    tie-break order) produces identical step and cycle totals on a
 ///    rebuilt testbed.
-/// 3. **Fan-out byte-identity** — the consolidation table renders
+/// 2. **Fan-out byte-identity** — the consolidation table renders
 ///    byte-identically from a serial run and a striped `--jobs` run.
+///
+/// The single-core schedule is pinned directly: a unit test records
+/// every grid cell's retired steps and final cycle count.
 pub fn wheel_determinism(smoke: bool) -> Vec<String> {
-    use neve_armv8::machine::StepOutcome;
     use neve_kvmarm::guests;
     let mut violations = Vec::new();
-
-    let cells: &[(&str, ArmConfig)] = if smoke {
-        &[(
-            "v8.3",
-            ArmConfig::Nested {
-                guest_vhe: false,
-                neve: false,
-                para: ParaMode::None,
-            },
-        )]
-    } else {
-        &[
-            (
-                "v8.3",
-                ArmConfig::Nested {
-                    guest_vhe: false,
-                    neve: false,
-                    para: ParaMode::None,
-                },
-            ),
-            (
-                "NEVE",
-                ArmConfig::Nested {
-                    guest_vhe: true,
-                    neve: true,
-                    para: ParaMode::None,
-                },
-            ),
-        ]
-    };
-    let iters = if smoke { 4 } else { 8 };
-    for &(label, cfg) in cells {
-        // Legacy polling loop, driven directly.
-        let mut legacy = TestBed::new(cfg, MicroBench::Hypercall, iters);
-        legacy.m.refresh_cost_table();
-        let mut legacy_steps: u64 = 0;
-        loop {
-            legacy_steps += 1;
-            match legacy.m.step(&mut legacy.hyp, 0) {
-                StepOutcome::Executed => {}
-                StepOutcome::Halted(code) if code == guests::DONE => break,
-                other => {
-                    violations.push(format!("{label}: legacy loop stopped on {other:?}"));
-                    return violations;
-                }
-            }
-            if legacy_steps > 10_000_000 {
-                violations.push(format!("{label}: legacy loop never halted"));
-                return violations;
-            }
-        }
-        // The same cell on the wheel.
-        let mut wheel = TestBed::new(cfg, MicroBench::Hypercall, iters);
-        let wheel_steps = match wheel.try_run_wheel(|m| m.core(0).halted == Some(guests::DONE)) {
-            Ok(n) => n,
-            Err(f) => {
-                violations.push(format!("{label}: wheel loop faulted: {f}"));
-                continue;
-            }
-        };
-        if wheel_steps != legacy_steps {
-            violations.push(format!(
-                "{label}: wheel retired {wheel_steps} host steps, legacy loop {legacy_steps}"
-            ));
-        }
-        if wheel.m.counter.cycles() != legacy.m.counter.cycles() {
-            violations.push(format!(
-                "{label}: wheel ended at cycle {}, legacy loop at {} — the \
-                 scheduler changed simulated time",
-                wheel.m.counter.cycles(),
-                legacy.m.counter.cycles()
-            ));
-        }
-    }
 
     // Park/wake repeatability: same scenario, rebuilt bed, same totals.
     let storm = |iters| -> Result<(u64, u64), String> {

@@ -464,4 +464,58 @@ mod tests {
         let b = run_once();
         assert_eq!(a, b, "fault injection must replay bit-identically");
     }
+
+    /// The simulated schedule, pinned per cell: the machine steps every
+    /// grid cell retires (warm-up and receiver bursts included) and its
+    /// final simulated cycle count. Any change to how a run loop
+    /// interleaves, parks or stops cores moves at least one row.
+    #[test]
+    fn every_grid_cell_retires_its_pinned_steps_and_cycles() {
+        #[rustfmt::skip]
+        const PINS: [(Config, Bench, u64, u64); 28] = [
+            (Config::ArmVm, Bench::Hypercall, 98, 83841),
+            (Config::ArmVm, Bench::DeviceIo, 99, 105250),
+            (Config::ArmVm, Bench::VirtualIpi, 1000, 115129),
+            (Config::ArmVm, Bench::VirtualEoi, 162, 80129),
+            (Config::ArmNestedV83, Bench::Hypercall, 9306, 11713780),
+            (Config::ArmNestedV83, Bench::DeviceIo, 9467, 11730133),
+            (Config::ArmNestedV83, Bench::VirtualIpi, 27530, 13409162),
+            (Config::ArmNestedV83, Bench::VirtualEoi, 282, 231124),
+            (Config::ArmNestedV83Vhe, Bench::Hypercall, 6874, 7965296),
+            (Config::ArmNestedV83Vhe, Bench::DeviceIo, 7035, 7981649),
+            (Config::ArmNestedV83Vhe, Bench::VirtualIpi, 20620, 9144904),
+            (Config::ArmNestedV83Vhe, Bench::VirtualEoi, 250, 181904),
+            (Config::ArmNestedNeve, Bench::Hypercall, 9306, 1984547),
+            (Config::ArmNestedNeve, Bench::DeviceIo, 9467, 2000900),
+            (Config::ArmNestedNeve, Bench::VirtualIpi, 27530, 2419698),
+            (Config::ArmNestedNeve, Bench::VirtualEoi, 282, 113539),
+            (Config::ArmNestedNeveVhe, Bench::Hypercall, 6874, 1945775),
+            (Config::ArmNestedNeveVhe, Bench::DeviceIo, 7035, 1962128),
+            (Config::ArmNestedNeveVhe, Bench::VirtualIpi, 20620, 2374604),
+            (Config::ArmNestedNeveVhe, Bench::VirtualEoi, 250, 116591),
+            (Config::X86Vm, Bench::Hypercall, 98, 41345),
+            (Config::X86Vm, Bench::DeviceIo, 98, 58945),
+            (Config::X86Vm, Bench::VirtualIpi, 1005, 68468),
+            (Config::X86Vm, Bench::VirtualEoi, 98, 9665),
+            (Config::X86Nested, Bench::Hypercall, 1090, 1020225),
+            (Config::X86Nested, Bench::DeviceIo, 1218, 1033153),
+            (Config::X86Nested, Bench::VirtualIpi, 4245, 1167908),
+            (Config::X86Nested, Bench::VirtualEoi, 98, 9665),
+        ];
+        for (config, bench, steps, cycles) in PINS {
+            let mut s = SimSession::new(config, bench);
+            let iters = s.iters;
+            let got = match &mut s.bed {
+                Bed::Arm(tb) => {
+                    tb.try_run_measured(iters).expect("cell measures");
+                    (tb.m.steps_retired(), tb.m.counter.cycles())
+                }
+                Bed::X86(tb) => {
+                    tb.try_run_measured(iters).expect("cell measures");
+                    (tb.m.steps_retired(), tb.m.counter.cycles())
+                }
+            };
+            assert_eq!(got, (steps, cycles), "{config:?} {bench:?}");
+        }
+    }
 }

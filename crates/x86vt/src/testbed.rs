@@ -6,6 +6,7 @@ use crate::machine::{X86Ctx, X86Machine, X86MachineConfig, X86Step, GPR_SLOTS};
 use crate::vmcs::VmcsField;
 use neve_cycles::counter::{Delta, Measured, PerOp};
 use neve_cycles::{FaultCause, Phase, SimFault};
+use std::ops::ControlFlow;
 
 /// Payload image base (single-level VM or nested VM).
 pub const PAYLOAD_BASE: u64 = 0x10_000;
@@ -192,7 +193,10 @@ impl X86TestBed {
         }
     }
 
-    /// Overrides the run-loop watchdog (clamped to at least 1 step).
+    /// Overrides the run-loop watchdog (clamped to at least 1). The
+    /// unit is one round: a cpu-0 step plus, on the IPI benchmark, the
+    /// receiver's burst, so on the single-core benchmarks it is one
+    /// step. A run that finishes within `budget` rounds succeeds.
     pub fn set_step_budget(&mut self, budget: u64) -> &mut Self {
         self.step_budget = budget.max(1);
         self
@@ -249,142 +253,111 @@ impl X86TestBed {
         // Revalidate the flat cost table once per run so the per-step
         // fast path never re-matches the model (see the ARM testbed).
         self.m.refresh_cost_table();
-        let (delta, n) = if self.bench == X86Bench::VirtualEoi {
-            self.run_eoi(iters)?
+        let eoi = self.bench == X86Bench::VirtualEoi;
+        let mut snap = None;
+        // EOI measures only the `ApicEoi` instruction: `bracket` holds
+        // the snapshot taken before that step until the step has run.
+        let mut bracket = None;
+        let mut measured = Delta::default();
+        let mut done = 0u64;
+        let rounds = self.exec(|m, rounds| {
+            // A borrow, not `take()`: moving the snapshot out would copy
+            // it on every round, bracket or not.
+            if let Some(s) = &bracket {
+                done += 1;
+                if done > WARMUP {
+                    measured.accumulate(&m.counter.delta_since(s));
+                }
+                bracket = None;
+            }
+            if m.core(0).halted == Some(DONE) {
+                return ControlFlow::Break(());
+            }
+            if eoi {
+                if at_apic_eoi(m.core(0).rip) {
+                    bracket = Some(m.counter.snapshot());
+                }
+            } else if rounds > 0 && snap.is_none() && payload_counter(m) == iters {
+                snap = Some(m.counter.snapshot());
+            }
+            ControlFlow::Continue(())
+        })?;
+        let (delta, n) = if eoi {
+            if done < iters || done <= WARMUP {
+                let cause = FaultCause::EoiShortfall {
+                    expected: iters,
+                    seen: done,
+                };
+                return Err(self.fault(cause, rounds));
+            }
+            (measured, done - WARMUP)
         } else {
-            self.run_main(iters)?
+            let Some(snap) = snap else {
+                return Err(self.fault(FaultCause::MissedSnapshot, rounds));
+            };
+            (self.m.counter.delta_since(&snap), iters)
         };
         Ok(delta.measured(n))
     }
 
-    fn run_main(&mut self, iters: u64) -> Result<(Delta, u64), SimFault> {
+    /// The run loop. `between` runs before every round with the rounds
+    /// started so far and stops the run by returning `Break`. A round
+    /// steps cpu 0 once and then gives the IPI receiver a burst of 4
+    /// steps, so delivery latency is not dominated by the interleave
+    /// ratio. A receiver that halts with [`DONE`] leaves the round. The
+    /// step budget counts rounds: a run that finishes within it
+    /// succeeds. Returns the rounds run.
+    fn exec(
+        &mut self,
+        mut between: impl FnMut(&X86Machine, u64) -> ControlFlow<()>,
+    ) -> Result<u64, SimFault> {
         let budget = self.step_budget;
-        let multi = self.bench == X86Bench::VirtualIpi;
-        let mut snap = None;
-        let mut steps = 0u64;
-        // Runnable mask: a receiver that halted cleanly leaves the
-        // round instead of being re-stepped (and re-matched) forever.
-        let mut receiver_done = false;
+        let ncpus = self.bench.ncpus();
+        let mut rounds = 0u64;
         loop {
-            let out = self.m.step(0);
-            if multi && !receiver_done {
-                for _ in 0..4 {
-                    let r = self.m.step(1);
-                    match r {
-                        X86Step::Executed => {}
-                        X86Step::Halted(c) if c == DONE => {
-                            receiver_done = true;
-                            break;
-                        }
-                        _ => {
-                            return Err(self.fault(
-                                FaultCause::UnexpectedStop {
-                                    detail: format!("receiver stopped: {r:?}"),
-                                },
-                                steps,
-                            ));
-                        }
-                    }
-                }
+            if between(&self.m, rounds).is_break() {
+                return Ok(rounds);
             }
-            steps += 1;
-            if steps >= budget {
-                return Err(self.fault(FaultCause::StepBudgetExhausted { budget }, steps));
+            if rounds == budget {
+                return Err(self.fault(FaultCause::StepBudgetExhausted { budget }, rounds));
             }
-            match out {
-                X86Step::Executed => {}
-                X86Step::Halted(c) if c == DONE => break,
-                X86Step::Halted(c) => {
-                    return Err(self.fault(FaultCause::PayloadCrash { code: c }, steps));
+            rounds += 1;
+            let mut stopped = None;
+            for cpu in 0..ncpus {
+                if self.m.core(cpu).halted.is_some() {
+                    continue;
                 }
-                X86Step::FetchFailure(rip) => {
-                    return Err(self.fault(
-                        FaultCause::UnexpectedStop {
+                let quantum = if cpu == 0 { 1 } else { 4 };
+                for _ in 0..quantum {
+                    let cause = match self.m.step(cpu) {
+                        X86Step::Executed => continue,
+                        X86Step::Halted(DONE) => break,
+                        X86Step::Halted(code) => FaultCause::PayloadCrash { code },
+                        X86Step::FetchFailure(rip) => FaultCause::UnexpectedStop {
                             detail: format!("fetch failure at {rip:#x}"),
                         },
-                        steps,
-                    ));
+                    };
+                    stopped.get_or_insert(cause);
+                    break;
                 }
             }
-            if snap.is_none() && self.payload_counter() == iters {
-                snap = Some(self.m.counter.snapshot());
+            if let Some(cause) = stopped {
+                return Err(self.fault(cause, rounds));
             }
         }
-        let Some(snap) = snap else {
-            return Err(self.fault(FaultCause::MissedSnapshot, steps));
-        };
-        Ok((self.m.counter.delta_since(&snap), iters))
     }
+}
 
-    /// The payload's iteration counter (register 10), live or parked.
-    fn payload_counter(&self) -> u64 {
-        match self.m.ctx[0] {
-            X86Ctx::GhL1 => self.m.mem_read(GPR_SLOTS + 10 * 8),
-            _ => self.m.core(0).gprs[10],
-        }
+/// The payload's iteration counter (register 10), live or parked.
+fn payload_counter(m: &X86Machine) -> u64 {
+    match m.ctx[0] {
+        X86Ctx::GhL1 => m.mem_read(GPR_SLOTS + 10 * 8),
+        _ => m.core(0).gprs[10],
     }
+}
 
-    /// EOI: measure only the `ApicEoi` instruction.
-    fn run_eoi(&mut self, iters: u64) -> Result<(Delta, u64), SimFault> {
-        let budget = self.step_budget;
-        let mut measured = Delta::default();
-        let mut done = 0u64;
-        let mut steps = 0u64;
-        loop {
-            let rip = self.m.core(0).rip;
-            let at_eoi = matches!(self.peek(rip), Some(X86Instr::ApicEoi));
-            let snapped = at_eoi.then(|| self.m.counter.snapshot());
-            let out = self.m.step(0);
-            steps += 1;
-            if steps >= budget {
-                return Err(self.fault(FaultCause::StepBudgetExhausted { budget }, steps));
-            }
-            if let Some(s) = snapped {
-                let d = self.m.counter.delta_since(&s);
-                done += 1;
-                if done > WARMUP {
-                    measured.accumulate(&d);
-                }
-            }
-            match out {
-                X86Step::Executed => {}
-                X86Step::Halted(c) if c == DONE => break,
-                X86Step::Halted(c) => {
-                    return Err(self.fault(FaultCause::PayloadCrash { code: c }, steps));
-                }
-                other => {
-                    return Err(self.fault(
-                        FaultCause::UnexpectedStop {
-                            detail: format!("unexpected {other:?}"),
-                        },
-                        steps,
-                    ));
-                }
-            }
-        }
-        if done < iters || done <= WARMUP {
-            return Err(self.fault(
-                FaultCause::EoiShortfall {
-                    expected: iters,
-                    seen: done,
-                },
-                steps,
-            ));
-        }
-        Ok((measured, done - WARMUP))
-    }
-
-    fn peek(&self, _rip: u64) -> Option<X86Instr> {
-        // The EOI payload's shape: [MovImm, (ApicEoi, SubImm, Jnz)*].
-        let base = PAYLOAD_BASE;
-        if _rip <= base {
-            return None;
-        }
-        let idx = _rip - base;
-        if (idx - 1).is_multiple_of(3) {
-            Some(X86Instr::ApicEoi)
-        } else {
-            None
-        }
-    }
+/// True when `rip` is an `ApicEoi` of the EOI payload, whose shape is
+/// `[MovImm, (ApicEoi, SubImm, Jnz)*]`.
+fn at_apic_eoi(rip: u64) -> bool {
+    rip > PAYLOAD_BASE && (rip - PAYLOAD_BASE - 1).is_multiple_of(3)
 }

@@ -82,3 +82,22 @@ fn virtual_ipi_works_at_both_levels() {
     assert!(nested.cycles > vm.cycles);
     assert!(nested.traps > vm.traps);
 }
+
+/// The budget bounds the rounds a run may start, so a run that halts on
+/// exactly its budgeted step succeeds and one step less is a budget
+/// fault (on a single-core benchmark a round is one step).
+#[test]
+fn a_budget_of_exactly_the_steps_run_suffices() {
+    let run = |budget: u64| {
+        let mut tb = X86TestBed::new(X86Config::Vm, X86Bench::Hypercall, 10);
+        tb.set_step_budget(budget);
+        tb.try_run_measured(10).map(|_| tb.m.steps_retired())
+    };
+    assert_eq!(run(56), Ok(56));
+    let fault = run(55).expect_err("one step short of the run");
+    assert_eq!(
+        fault.cause,
+        neve_cycles::FaultCause::StepBudgetExhausted { budget: 55 }
+    );
+    assert_eq!(fault.steps, 55);
+}
