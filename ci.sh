@@ -41,12 +41,21 @@ echo "$micro_md5_before" | md5sum -c --quiet - || {
     exit 1
 }
 
-echo "==> pinned digests (cold matrix, full consolidation table)"
-# Both files are gitignored; their digests are pinned here (and in the
-# host benchmark) so re-recording a file cannot pass CI.
+echo "==> pinned digests (cold matrix, tracked exports, full consolidation table)"
+# The matrix and consolidation files are gitignored; their digests are
+# pinned here (and in the host benchmark) so re-recording a file cannot
+# pass CI. The two exports are tracked, and must regenerate byte for byte.
 cargo run -q -p neve-cli --offline --release --bin neve -- tables --no-cache > /dev/null
 echo "772e5f96051d56c2b2c68cd7dfc77a30  results/micro_matrix.json" | md5sum -c --quiet - || {
     echo "results/micro_matrix.json does not match its pinned digest" >&2
+    exit 1
+}
+cargo run -q -p neve-cli --offline --release --bin neve -- export > /dev/null
+printf '%s\n' \
+    "38cb04e2fa5d7403675fd323f9cf5796  results/neve_results.json" \
+    "d23969bf912ef84cb54296498f2c4b5c  results/figure2.csv" \
+    | md5sum -c --quiet - || {
+    echo "neve export does not reproduce the tracked results/ exports" >&2
     exit 1
 }
 cargo run -q -p neve-cli --offline --release --bin neve -- consolidate > /dev/null
@@ -81,10 +90,10 @@ echo "$micro_md5_before" | md5sum -c --quiet - || {
 }
 
 echo "==> throughput smoke (matrix byte-identity + steps/sec)"
-cargo run -q -p neve-bench --offline --release --bin sim_throughput -- --smoke
+cargo run -q -p neve-cli --offline --release --bin neve -- bench-sim --smoke
 
 echo "==> throughput regression guard (fresh vs recorded, >20% fails)"
-cargo run -q -p neve-bench --offline --release --bin sim_throughput -- --guard --samples 5
+cargo run -q -p neve-cli --offline --release --bin neve -- bench-sim --guard --samples 5
 
 echo "==> host benchmark (build, self-tests, traced and untraced smoke)"
 sh benchmark/ci.sh

@@ -3,6 +3,14 @@
 
 use std::collections::BTreeMap;
 
+/// A subcommand: its name, the flags it accepts (without the leading
+/// `--`; any other `--key` is a usage error), and its entry point.
+pub type Command = (
+    &'static str,
+    &'static [&'static str],
+    fn(&Parsed) -> Result<(), String>,
+);
+
 /// Parsed invocation: a subcommand, positional operands, and
 /// `--key value` options.
 #[derive(Debug, Default)]
@@ -18,16 +26,20 @@ pub struct Parsed {
 
 /// Flags that take no value (presence is the value). Everything else
 /// follows the `--key value` grammar.
-const BOOLEAN_FLAGS: &[&str] = &["no-cache", "json", "smoke", "fail-fast", "record-baseline"];
+const BOOLEAN_FLAGS: &[&str] = &["no-cache", "json", "smoke", "guard", "fail-fast"];
 
-/// Parses `argv` (without the program name).
+/// Parses `argv` (without the program name) against `commands`.
 ///
 /// # Errors
 ///
-/// Rejects dangling `--key` without a value (boolean flags excepted).
-/// Bare words after the subcommand are collected as positionals; each
-/// command decides how many it accepts.
-pub fn parse(argv: &[String]) -> Result<Parsed, String> {
+/// Rejects an unknown subcommand, a flag the subcommand does not
+/// accept, and a dangling `--key` without a value (boolean flags
+/// excepted). Bare words after the subcommand are collected as
+/// positionals; each command decides how many it accepts.
+pub fn parse<'c>(
+    argv: &[String],
+    commands: &'c [Command],
+) -> Result<(&'c Command, Parsed), String> {
     let mut p = Parsed::default();
     let mut it = argv.iter();
     match it.next() {
@@ -35,11 +47,26 @@ pub fn parse(argv: &[String]) -> Result<Parsed, String> {
         Some(flag) => return Err(format!("expected a subcommand before {flag}")),
         None => p.command = "help".into(),
     }
+    let Some(command) = commands.iter().find(|c| c.0 == p.command) else {
+        return Err(format!("unknown subcommand `{}`", p.command));
+    };
+    let (name, flags, _) = command;
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
             p.positionals.push(a.clone());
             continue;
         };
+        if !flags.contains(&key) {
+            let accepted: Vec<String> = flags.iter().map(|f| format!("--{f}")).collect();
+            return Err(format!(
+                "`neve {name}` does not take --{key} (accepted: {})",
+                if accepted.is_empty() {
+                    "no flags".to_string()
+                } else {
+                    accepted.join(", ")
+                }
+            ));
+        }
         if BOOLEAN_FLAGS.contains(&key) {
             p.options.insert(key.to_string(), "true".to_string());
             continue;
@@ -49,7 +76,7 @@ pub fn parse(argv: &[String]) -> Result<Parsed, String> {
         };
         p.options.insert(key.to_string(), value.clone());
     }
-    Ok(p)
+    Ok((command, p))
 }
 
 impl Parsed {
@@ -84,6 +111,21 @@ mod tests {
 
     fn sv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn nop(_: &Parsed) -> Result<(), String> {
+        Ok(())
+    }
+
+    const COMMANDS: &[Command] = &[
+        ("help", &[], nop),
+        ("micro", &["bench", "config", "iters"], nop),
+        ("tables", &["jobs", "no-cache"], nop),
+        ("trace", &["limit"], nop),
+    ];
+
+    fn parse(argv: &[String]) -> Result<Parsed, String> {
+        super::parse(argv, COMMANDS).map(|(_, p)| p)
     }
 
     #[test]
@@ -129,5 +171,20 @@ mod tests {
     fn rejects_bad_numbers() {
         let p = parse(&sv(&["micro", "--iters", "many"])).unwrap();
         assert!(p.get_u64("iters", 1).is_err());
+    }
+
+    #[test]
+    fn rejects_flags_the_subcommand_does_not_take() {
+        // A typo is a usage error naming the flag and the accepted set,
+        // not a silently ignored option.
+        let err = parse(&sv(&["tables", "--jbos", "3"])).unwrap_err();
+        assert!(err.contains("--jbos"), "{err}");
+        assert!(err.contains("--jobs, --no-cache"), "{err}");
+        // A real flag of another subcommand is just as foreign here.
+        assert!(parse(&sv(&["tables", "--iters", "3"])).is_err());
+        assert!(parse(&sv(&["help", "--no-cache"]))
+            .unwrap_err()
+            .contains("no flags"));
+        assert!(parse(&sv(&["frobnicate"])).is_err());
     }
 }

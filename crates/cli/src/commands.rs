@@ -1,63 +1,51 @@
-//! Subcommand implementations.
+//! Subcommand routing and the single-cell, campaign and server
+//! subcommands. The paper's reports live in `report`, the host
+//! throughput gates in `bench_sim`, and the ablation studies in
+//! `studies`.
 
-use crate::args;
+use crate::args::{self, Command};
+use crate::{bench_sim, report, studies};
 use neve_armv8::trace::{Trace, TraceEvent, MAX_CAPACITY};
-use neve_cycles::counter::Measured;
+use neve_cycles::counter::{Measured, PerOp};
 use neve_json::JsonValue;
 use neve_kvmarm::{ArmConfig, MicroBench, ParaMode, TestBed};
-use neve_workloads::cache::{self, MatrixSource};
 use neve_workloads::par::default_jobs;
-use neve_workloads::platforms::{MicroMatrix, PhaseStat};
-use neve_workloads::{apps, provenance, tables};
+use neve_workloads::platforms::PhaseStat;
+use neve_workloads::provenance;
 use neve_x86vt::testbed::{X86Bench, X86Config, X86TestBed};
 use std::collections::BTreeMap;
 
 /// A resolved platform configuration.
-enum Target {
+#[derive(Clone, Copy)]
+pub(crate) enum Target {
     Arm { cfg: ArmConfig, xen: bool },
     X86(X86Config),
 }
 
-fn target(name: &str) -> Result<Target, String> {
-    let nested = |vhe, neve| ArmConfig::Nested {
-        guest_vhe: vhe,
+pub(crate) fn target(name: &str) -> Result<Target, String> {
+    // Guest VHE, NEVE and Xen of the nested ARM configurations.
+    let (guest_vhe, neve, xen) = match name {
+        "vm" => {
+            let cfg = ArmConfig::Vm;
+            return Ok(Target::Arm { cfg, xen: false });
+        }
+        "v83" | "v8.3" | "v8.3-nested" => (false, false, false),
+        "v83-vhe" | "v8.3-nested-vhe" => (true, false, false),
+        "neve" | "neve-nested" => (false, true, false),
+        "neve-vhe" | "neve-nested-vhe" => (true, true, false),
+        "v83-xen" => (false, false, true),
+        "neve-xen" => (false, true, true),
+        "x86-vm" => return Ok(Target::X86(X86Config::Vm)),
+        "x86-nested" => return Ok(Target::X86(X86Config::Nested { shadowing: true })),
+        "x86-noshadow" => return Ok(Target::X86(X86Config::Nested { shadowing: false })),
+        other => return Err(format!("unknown config `{other}`")),
+    };
+    let cfg = ArmConfig::Nested {
+        guest_vhe,
         neve,
         para: ParaMode::None,
     };
-    Ok(match name {
-        "vm" => Target::Arm {
-            cfg: ArmConfig::Vm,
-            xen: false,
-        },
-        "v83" | "v8.3" | "v8.3-nested" => Target::Arm {
-            cfg: nested(false, false),
-            xen: false,
-        },
-        "v83-vhe" | "v8.3-nested-vhe" => Target::Arm {
-            cfg: nested(true, false),
-            xen: false,
-        },
-        "neve" | "neve-nested" => Target::Arm {
-            cfg: nested(false, true),
-            xen: false,
-        },
-        "neve-vhe" | "neve-nested-vhe" => Target::Arm {
-            cfg: nested(true, true),
-            xen: false,
-        },
-        "v83-xen" => Target::Arm {
-            cfg: nested(false, false),
-            xen: true,
-        },
-        "neve-xen" => Target::Arm {
-            cfg: nested(false, true),
-            xen: true,
-        },
-        "x86-vm" => Target::X86(X86Config::Vm),
-        "x86-nested" => Target::X86(X86Config::Nested { shadowing: true }),
-        "x86-noshadow" => Target::X86(X86Config::Nested { shadowing: false }),
-        other => return Err(format!("unknown config `{other}`")),
-    })
+    Ok(Target::Arm { cfg, xen })
 }
 
 fn arm_bench(name: &str) -> Result<MicroBench, String> {
@@ -70,36 +58,93 @@ fn arm_bench(name: &str) -> Result<MicroBench, String> {
     })
 }
 
-fn x86_bench(name: &str) -> Result<X86Bench, String> {
-    Ok(match name {
-        "hypercall" => X86Bench::Hypercall,
-        "devio" | "device_io" => X86Bench::DeviceIo,
-        "ipi" | "virtual_ipi" => X86Bench::VirtualIpi,
-        "eoi" | "virtual_eoi" => X86Bench::VirtualEoi,
-        other => return Err(format!("unknown benchmark `{other}`")),
+/// A fresh ARM testbed for `bench`: the KVM stack, or Xen when `xen`.
+fn arm_testbed(cfg: ArmConfig, xen: bool, bench: MicroBench, iters: u64) -> TestBed {
+    if xen {
+        TestBed::new_xen(cfg, bench, iters)
+    } else {
+        TestBed::new(cfg, bench, iters)
+    }
+}
+
+/// Runs `iters` iterations of `bench` on a fresh testbed for `target`
+/// and returns its per-op cost. `prep` adjusts an ARM testbed before
+/// the run; x86 testbeds run as built, for the four benchmarks both
+/// architectures share.
+pub(crate) fn per_op(
+    target: Target,
+    bench: MicroBench,
+    iters: u64,
+    prep: impl FnOnce(&mut TestBed),
+) -> Result<PerOp, String> {
+    Ok(match target {
+        Target::Arm { cfg, xen } => {
+            let mut tb = arm_testbed(cfg, xen, bench, iters);
+            prep(&mut tb);
+            tb.run(iters)
+        }
+        Target::X86(xc) => {
+            let xb = match bench {
+                MicroBench::Hypercall => X86Bench::Hypercall,
+                MicroBench::DeviceIo => X86Bench::DeviceIo,
+                MicroBench::VirtualIpi => X86Bench::VirtualIpi,
+                MicroBench::VirtualEoi => X86Bench::VirtualEoi,
+                other => return Err(format!("{other:?} has no x86 counterpart")),
+            };
+            X86TestBed::new(xc, xb, iters).run(iters)
+        }
     })
 }
 
-/// Routes a parsed command line.
+/// Every subcommand, the flags it accepts, and its entry point.
+const COMMANDS: &[Command] = &[
+    ("micro", &["bench", "config", "iters"], micro),
+    ("tables", &["jobs", "no-cache"], report::tables_cmd),
+    (
+        "figure2",
+        &["explain", "jobs", "no-cache"],
+        report::figure2_cmd,
+    ),
+    ("export", &["jobs", "no-cache"], report::export_cmd),
+    ("ablations", &[], studies::ablations_cmd),
+    ("trace", &["config", "bench", "json", "limit"], trace_cmd),
+    (
+        "faults",
+        &["seed", "jobs", "budget", "smoke", "fail-fast"],
+        faults_cmd,
+    ),
+    (
+        "fuzz",
+        &["seed", "cases", "jobs", "smoke", "corpus-dir", "replay"],
+        fuzz_cmd,
+    ),
+    ("check", &["smoke", "jobs", "no-cache"], check_cmd),
+    (
+        "bench-sim",
+        &["samples", "engine", "smoke", "guard"],
+        bench_sim::bench_sim_cmd,
+    ),
+    ("consolidate", &["jobs", "smoke", "json"], consolidate_cmd),
+    (
+        "serve",
+        &["jobs", "max-queued", "no-cache", "listen", "smoke"],
+        serve_cmd,
+    ),
+    ("help", &[], help),
+];
+
+/// Routes a command line to its subcommand.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
-    let p = args::parse(argv)?;
-    match p.command.as_str() {
-        "micro" => micro(&p),
-        "tables" => tables_cmd(&p),
-        "figure2" => figure2_cmd(&p),
-        "trace" => trace_cmd(&p),
-        "faults" => faults_cmd(&p),
-        "fuzz" => fuzz_cmd(&p),
-        "check" => check_cmd(&p),
-        "bench-sim" => bench_sim_cmd(&p),
-        "consolidate" => consolidate_cmd(&p),
-        "serve" => serve_cmd(&p),
-        "help" | "-h" | "--help" => {
-            print!("{}", HELP);
-            Ok(())
-        }
-        other => Err(format!("unknown subcommand `{other}`")),
+    if matches!(argv.first().map(String::as_str), Some("-h" | "--help")) {
+        return help(&args::Parsed::default());
     }
+    let ((_, _, run), p) = args::parse(argv, COMMANDS)?;
+    run(&p)
+}
+
+fn help(_: &args::Parsed) -> Result<(), String> {
+    print!("{HELP}");
+    Ok(())
 }
 
 const HELP: &str = "\
@@ -108,8 +153,13 @@ neve - the NEVE nested-virtualization simulator
 USAGE:
     neve micro   [--bench B] [--config C] [--iters N]   run one microbenchmark
     neve tables  [--jobs N] [--no-cache]                regenerate Tables 1/6/7
+                                                        beside the paper's values
     neve figure2 [--explain WORKLOAD] [--jobs N] [--no-cache]
                                                         regenerate Figure 2
+    neve export  [--jobs N] [--no-cache]                write results/neve_results.json
+                                                        and results/figure2.csv
+    neve ablations                                      Section 5 trap-cost study
+                                                        and Ablations A-E
     neve trace   <config> <bench> [--json] [--limit N]  world-switch anatomy
                                                         with trap provenance
     neve faults  [--seed N] [--jobs N] [--budget N] [--smoke] [--fail-fast]
@@ -121,8 +171,8 @@ USAGE:
                                                         differential v8.3-vs-NEVE
                                                         lockstep, trap algebra,
                                                         golden-table diff
-    neve bench-sim [--samples N] [--record-baseline]    host-side simulator
-                   [--engine uop|interp]                throughput (steps/sec)
+    neve bench-sim [--samples N] [--engine uop|interp]  host-side simulator
+                   [--smoke | --guard]                  throughput (steps/sec)
     neve consolidate [--jobs N] [--smoke] [--json]      multi-VM consolidation
                                                         table (VMs per host at
                                                         <=5% tick overhead)
@@ -130,6 +180,8 @@ USAGE:
                  [--max-queued N] [--no-cache]          batched sweep requests
                                                         over JSONL (stdin + TCP)
     neve help                                           this text
+
+A flag the subcommand does not take is a usage error.
 
 CONFIGS:    vm v83 v83-vhe neve neve-vhe v83-xen neve-xen
             x86-vm x86-nested x86-noshadow
@@ -144,11 +196,18 @@ phase it interrupted), then the per-phase cycle/trap attribution and the
 per-kind trap totals behind Table 7. --json emits the same data in the
 results-cache schema.
 
-Table and figure commands measure the 28-cell evaluation matrix in
-parallel (--jobs N workers, default: available cores) and cache the
-results keyed by the cost-model fingerprint; pass --no-cache to force
-a fresh measurement. If any cell fails to measure, the partial results
-still print (failed rows as 0) and the command exits non-zero.
+Table, figure and export commands measure the 28-cell evaluation
+matrix in parallel (--jobs N workers, default: available cores) and
+cache the results keyed by the cost-model fingerprint; pass --no-cache
+to force a fresh measurement. If any cell fails to measure, the partial
+results still print (failed rows as 0) and the command exits non-zero.
+
+`neve ablations` runs the paper's validation studies in turn: the
+Section 5 trap-cost study (every trapping instruction costs the same
+round trip within 10%), A paravirtualized-v8.0 fidelity, B NEVE's
+mechanism contributions, C VMCS shadowing on x86, D guest hypervisor
+designs (KVM non-VHE/VHE, Xen) and E a VHE host. A study whose claim
+does not hold exits non-zero.
 
 `neve faults` runs a seeded fault-injection campaign over the nested
 ARM cells: each built-in plan (corrupted shadow Stage-2 PTE, dropped or
@@ -188,13 +247,15 @@ violation exits non-zero with a structured first-divergence report.
 `neve bench-sim` measures how fast the *host* simulates each
 configuration (steps/sec and ns/step — wall-clock performance of the
 step engine, not simulated cycles) and writes
-results/bench_throughput.json, reporting speedups against the recorded
-baseline section. --record-baseline stores this run as the baseline
-later runs are compared against. --engine selects the ARM step engine:
+results/bench_throughput.json. --engine selects the ARM step engine:
 uop (the pre-decoded micro-op IR, the default) or interp (the
 reference interpreter); a non-default engine prints the table without
 writing the report, so the recorded numbers always describe the
-default engine.
+default engine. Two CI gates write nothing: --smoke demands the freshly
+measured matrix be byte-identical to results/micro_matrix.json, and
+--guard fails when the nested ARM configurations or the bigsmp_idle
+scenarios run more than 20% below the report's recorded steps/sec
+(one re-measurement excuses host noise).
 
 `neve consolidate` measures what an *idle* guest costs its host: each
 configuration runs co-resident single-vCPU idle guests whose only
@@ -230,186 +291,11 @@ fn micro(p: &args::Parsed) -> Result<(), String> {
     let iters = p.get_u64("iters", 25)?.max(1);
     let bench = p.get("bench", "hypercall");
     let cfg = p.get("config", "neve");
-    let result = match target(cfg)? {
-        Target::Arm { cfg: ac, xen } => {
-            let b = arm_bench(bench)?;
-            let mut tb = if xen {
-                TestBed::new_xen(ac, b, iters)
-            } else {
-                TestBed::new(ac, b, iters)
-            };
-            tb.run(iters)
-        }
-        Target::X86(xc) => {
-            let b = x86_bench(bench)?;
-            let mut tb = X86TestBed::new(xc, b, iters);
-            tb.run(iters)
-        }
-    };
+    let result = per_op(target(cfg)?, arm_bench(bench)?, iters, |_| {})?;
     println!(
         "{bench} on {cfg}: {} cycles/op, {:.1} traps/op ({iters} iterations)",
         result.cycles, result.traps
     );
-    Ok(())
-}
-
-/// Resolves the shared evaluation matrix for the table/figure commands:
-/// cache hit when `results/micro_matrix.json` matches the current cost
-/// model, a parallel re-measurement otherwise.
-fn matrix(p: &args::Parsed) -> Result<MicroMatrix, String> {
-    let jobs = p.get_u64("jobs", default_jobs() as u64)?.max(1) as usize;
-    let use_cache = !p.has("no-cache");
-    let (m, source) = cache::load_or_measure(jobs, use_cache);
-    match source {
-        MatrixSource::Cache => {
-            println!(
-                "Loaded measurements from {} (--no-cache to refresh).\n",
-                cache::CACHE_PATH
-            );
-        }
-        MatrixSource::Measured => {
-            println!(
-                "Measured every configuration ({jobs} worker threads); cached at {}.\n",
-                cache::CACHE_PATH
-            );
-        }
-        MatrixSource::Quarantined => {
-            println!(
-                "Cache was corrupt; quarantined to {}.<pid>.<seq>.corrupt and \
-                 re-measured every configuration ({jobs} worker threads).\n",
-                cache::CACHE_PATH
-            );
-        }
-    }
-    Ok(m)
-}
-
-/// Renders the failed cells of a partial matrix and produces the
-/// non-zero-exit error the table/figure commands end with. Partial
-/// results are still printed (and cached) before this runs — a faulted
-/// cell degrades the report, it does not discard it.
-fn failure_report(m: &MicroMatrix) -> String {
-    let mut lines = vec![format!(
-        "{} cell(s) failed to measure (rows above show 0 for them):",
-        m.failed_cells()
-    )];
-    for c in m.configs() {
-        for (bench, why) in m.failures(c) {
-            lines.push(format!("  FAILED {} / {bench}: {why}", c.label()));
-        }
-    }
-    lines.join("\n")
-}
-
-fn tables_cmd(p: &args::Parsed) -> Result<(), String> {
-    let m = matrix(p)?;
-    println!("Table 1 (cycle counts):");
-    println!("{}", tables::render(&tables::table1(&m)));
-    println!("Table 6 (cycle counts with NEVE):");
-    println!("{}", tables::render(&tables::table6(&m)));
-    println!("Table 7 (trap counts):");
-    println!("{}", tables::render(&tables::table7(&m)));
-    if m.has_failures() {
-        return Err(failure_report(&m));
-    }
-    Ok(())
-}
-
-fn figure2_cmd(p: &args::Parsed) -> Result<(), String> {
-    let m = matrix(p)?;
-    println!("{}", apps::render(&apps::figure2(&m)));
-    if let Some(workload) = p.options.get("explain") {
-        let Some(w) = apps::WORKLOADS
-            .iter()
-            .find(|w| w.name.eq_ignore_ascii_case(workload))
-        else {
-            return Err(format!("unknown workload `{workload}`"));
-        };
-        println!("\nOverhead composition for {}:", w.name);
-        println!(
-            "{:<22} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}",
-            "config", "hc%", "io%", "ipi%", "irq%", "kick%", "tick%"
-        );
-        for c in neve_workloads::platforms::Config::all() {
-            let b = apps::breakdown(w, c, &m);
-            println!(
-                "{:<22} {:>5.0}% {:>5.0}% {:>5.0}% {:>5.0}% {:>5.0}% {:>5.0}%",
-                c.label(),
-                b.hypercalls * 100.0,
-                b.device_ios * 100.0,
-                b.ipis * 100.0,
-                b.net_irqs * 100.0,
-                b.virtio_kicks * 100.0,
-                b.feedback * 100.0
-            );
-        }
-    }
-    if m.has_failures() {
-        return Err(failure_report(&m));
-    }
-    Ok(())
-}
-
-/// Measures host-side simulator throughput (`neve bench-sim`): wall
-/// clock per simulated step for every configuration, written to
-/// `results/bench_throughput.json` with speedups against the recorded
-/// baseline section (the same report `sim_throughput` produces).
-fn bench_sim_cmd(p: &args::Parsed) -> Result<(), String> {
-    use neve_armv8::Engine;
-    use neve_workloads::throughput::{self, BENCH_PATH};
-
-    let samples = p.get_u64("samples", 5)?.max(1) as usize;
-    let engine = match p.get("engine", "uop") {
-        "uop" => Engine::Uop,
-        "interp" => Engine::Interp,
-        other => return Err(format!("unknown engine `{other}` (expected uop or interp)")),
-    };
-    let stats = throughput::measure_all_with(samples, engine);
-    let scenarios = throughput::measure_scenarios(samples);
-    println!(
-        "{:<20} {:>14} {:>14} {:>10}",
-        "config", "steps/sec", "ns/step", "steps"
-    );
-    for s in &stats {
-        println!(
-            "{:<20} {:>14.0} {:>14.1} {:>10}",
-            s.config.label(),
-            s.steps_per_sec(),
-            s.ns_per_step(),
-            s.steps
-        );
-    }
-    println!("\n{:<20} {:>14} {:>10}", "scenario", "steps/sec", "steps");
-    for s in &scenarios {
-        println!(
-            "{:<20} {:>14.0} {:>10}",
-            s.label,
-            s.steps_per_sec(),
-            s.steps
-        );
-    }
-    if engine != Engine::default() {
-        // Manual experiment: the recorded report must keep describing
-        // the default engine.
-        println!("\n--engine {engine:?}: report not written");
-        return Ok(());
-    }
-    let existing = std::fs::read_to_string(BENCH_PATH).ok();
-    let text = if p.has("record-baseline") {
-        throughput::report_json_with_scenarios(&stats, Some(&stats), &scenarios)
-    } else {
-        let baseline = existing
-            .as_deref()
-            .and_then(|t| throughput::section_from_report(t, "baseline"));
-        throughput::report_json_with_scenarios(&stats, baseline.as_deref(), &scenarios)
-    };
-    let path = std::path::Path::new(BENCH_PATH);
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    cache::write_atomically(path, &text)
-        .map_err(|e| format!("failed to write {BENCH_PATH}: {e}"))?;
-    println!("\nwrote {BENCH_PATH}");
     Ok(())
 }
 
@@ -591,7 +477,7 @@ fn fuzz_cmd(p: &args::Parsed) -> Result<(), String> {
 /// Exits non-zero on any violation.
 fn check_cmd(p: &args::Parsed) -> Result<(), String> {
     let smoke = p.has("smoke");
-    let m = matrix(p)?;
+    let m = report::matrix(p)?;
     let report = neve_workloads::run_checks(&m, smoke);
     print!("{}", report.render());
     if !report.is_clean() {
@@ -636,11 +522,7 @@ fn trace_cmd(p: &args::Parsed) -> Result<(), String> {
     // it at the measurement snapshot) so the per-kind totals below are
     // exact, not a suffix — MAX_CAPACITY holds it with room to spare.
     let iters = 8;
-    let mut tb = if xen {
-        TestBed::new_xen(cfg, bench, iters)
-    } else {
-        TestBed::new(cfg, bench, iters)
-    };
+    let mut tb = arm_testbed(cfg, xen, bench, iters);
     tb.m.attach_trace(MAX_CAPACITY);
     let (delta, n) = tb.run_region(iters);
     let trace =

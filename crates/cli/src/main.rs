@@ -1,11 +1,15 @@
-//! `neve` — the command-line front end.
+//! `neve` — the command-line front end, and the one entry point to the
+//! paper's evaluation.
 //!
 //! ```text
 //! neve micro  [--bench B] [--config C] [--iters N]   one microbenchmark
 //! neve tables                                        Tables 1, 6 and 7
 //! neve figure2                                       Figure 2
+//! neve export                                        results/ JSON + CSV
+//! neve ablations                                     Section 5 + Ablations A-E
+//! neve bench-sim [--smoke | --guard]                 host throughput
 //! neve trace  [--config C] [--limit N]               world-switch anatomy
-//! neve help                                          this text
+//! neve help                                          every subcommand
 //! ```
 //!
 //! Configurations: `vm`, `v83`, `v83-vhe`, `neve`, `neve-vhe`,
@@ -13,7 +17,10 @@
 //! Benchmarks: `hypercall`, `devio`, `ipi`, `eoi`.
 
 mod args;
+mod bench_sim;
 mod commands;
+mod report;
+mod studies;
 
 use std::process::ExitCode;
 

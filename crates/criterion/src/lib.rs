@@ -83,7 +83,7 @@ fn report(label: &str, samples: &mut [Duration]) {
 }
 
 /// Summary statistics for one benchmark, for programmatic consumers
-/// (the `sim_throughput` harness writes these to JSON). The real
+/// (`neve bench-sim` writes these to JSON). The real
 /// criterion exposes estimates through its output files; this shim
 /// returns them directly from [`Criterion::measure`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2,9 +2,8 @@
 //!
 //! Criterion measures the *simulator's* wall-clock time per simulated
 //! microbenchmark run; the simulated cycle counts themselves are printed
-//! by the `table1`/`table6`/`table7` binaries. Keeping both matters:
-//! wall-time regressions here mean the simulator got slower, not that
-//! NEVE changed.
+//! by `neve tables`. Keeping both matters: wall-time regressions here
+//! mean the simulator got slower, not that NEVE changed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use neve_kvmarm::{ArmConfig, MicroBench, ParaMode, TestBed};

@@ -1,9 +1,8 @@
 //! Persistent results cache for the evaluation matrix.
 //!
 //! Measuring the full matrix means simulating 28 testbeds; the report
-//! binaries (`table1`, `table6`, `table7`, `figure2`, `dump_results`)
-//! and the `neve tables`/`neve figure2` subcommands all need the same
-//! data. The cache lets them measure once and share: the matrix is
+//! subcommands (`neve tables`, `neve figure2`, `neve export`,
+//! `neve check`) all need the same data. The cache lets them measure once and share: the matrix is
 //! written to `results/micro_matrix.json`, keyed by the
 //! [`CostModel`](neve_cycles::CostModel) fingerprint, and later runs
 //! load it instead of re-measuring.
@@ -20,7 +19,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Default cache location, relative to the working directory (next to
-/// `dump_results`' outputs).
+/// `neve export`'s outputs).
 pub const CACHE_PATH: &str = "results/micro_matrix.json";
 
 /// Where a matrix came from.
@@ -31,7 +30,8 @@ pub enum MatrixSource {
     /// Freshly measured (no cache, stale fingerprint, or `--no-cache`).
     Measured,
     /// Freshly measured after quarantining a corrupt cache file to
-    /// `<path>.corrupt` (truncated write, bit rot, or hand editing).
+    /// `<path>.<pid>.<seq>.corrupt` (truncated write, bit rot, or hand
+    /// editing).
     Quarantined,
 }
 
@@ -111,7 +111,7 @@ pub fn load_or_measure_at(
     if let Some(dir) = path.parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    // Atomic replace: two report binaries racing must never leave a
+    // Atomic replace: two report processes racing must never leave a
     // torn file for a third to read. Write a process-unique temp file
     // in the same directory (rename is only atomic within one
     // filesystem), then rename into place.

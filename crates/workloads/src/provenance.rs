@@ -2,11 +2,11 @@
 //!
 //! The per-kind trap totals and the per-phase cycle/trap attribution
 //! appear in three places — the persistent results cache, `neve trace
-//! --json`, and `dump_results`' JSON export — and a consumer should be
-//! able to diff them directly. This module owns the schema (one
+//! --json`, and `neve export`'s JSON — and a consumer should be able
+//! to diff them directly. This module owns the schema (one
 //! `trap_kinds` object plus one `phases` object of `{cycles, traps}`
-//! records) and the text table the `trace` subcommand and `table7`
-//! print, so the three cannot drift apart.
+//! records) and the text table `neve trace` and `neve tables` print,
+//! so the three cannot drift apart.
 
 use crate::platforms::PhaseStat;
 use neve_cycles::Phase;

@@ -37,11 +37,8 @@ pub const METHODOLOGY: &str = "One sample = run all four microbenchmarks (hyperc
      determinism), time = wall-clock per sample via the in-tree \
      criterion shim (one untimed warm-up sample, then `samples` timed \
      runs; median reported). steps_per_sec = steps * 1e9 / median_ns. \
-     The baseline section was measured with the same harness at the \
-     commit before the interpreter fast path (indexed fetch, \
-     precomputed cost tables, micro-TLB, flat-array counters); the \
-     current section is the working tree. speedup = current \
-     steps_per_sec / baseline steps_per_sec. The scenarios section \
+     The current section is the working tree; `neve bench-sim --guard` \
+     compares fresh samples against it. The scenarios section \
      measures event-wheel shapes that are not evaluation-matrix \
      configurations: bigsmp_idle_N runs an N-vCPU guest with one busy \
      core (hypercall loop) and N-1 cores parked in wfi on the event \
@@ -96,7 +93,7 @@ pub fn run_all_benches(config: Config) -> u64 {
 }
 
 /// [`run_all_benches`] with an explicit step engine for the ARM cells
-/// (`--engine` on the benchmark binaries). x86 configurations have no
+/// (`neve bench-sim --engine`). x86 configurations have no
 /// micro-op engine and ignore the choice.
 pub fn run_all_benches_with(config: Config, engine: Engine) -> u64 {
     let mut steps = 0u64;
@@ -287,60 +284,59 @@ pub fn measure_scenarios(samples: usize) -> Vec<ScenarioThroughput> {
         .collect()
 }
 
+/// The report's schema tag; a report with any other tag is not read.
+const SCHEMA: &str = "neve-bench-throughput-v1";
+
+/// The timing record both report sections keep per subject, followed
+/// by its derived rates.
+fn timing_json(steps: u64, ns: [u64; 3], samples: usize, rates: &[(&str, f64)]) -> JsonValue {
+    let [median_ns, min_ns, max_ns] = ns.map(|n| n as f64);
+    let fields = [
+        ("steps", steps as f64),
+        ("median_ns", median_ns),
+        ("min_ns", min_ns),
+        ("max_ns", max_ns),
+        ("samples", samples as f64),
+    ];
+    JsonValue::Object(
+        fields
+            .iter()
+            .chain(rates)
+            .map(|(k, v)| (k.to_string(), JsonValue::Number(*v)))
+            .collect(),
+    )
+}
+
+/// Reads a [`timing_json`] record back: steps, `[median, min, max]` ns
+/// and the sample count.
+fn timing_from_json(stat: &JsonValue) -> Option<(u64, [u64; 3], usize)> {
+    let num = |key: &str| stat.get(key)?.as_f64();
+    Some((
+        num("steps")? as u64,
+        [
+            num("median_ns")? as u64,
+            num("min_ns")? as u64,
+            num("max_ns")? as u64,
+        ],
+        num("samples")? as usize,
+    ))
+}
+
 fn stats_to_json(stats: &[ConfigThroughput]) -> JsonValue {
     JsonValue::Object(
         stats
             .iter()
             .map(|s| {
-                (
-                    s.config.label().to_string(),
-                    JsonValue::Object(vec![
-                        ("steps".to_string(), JsonValue::Number(s.steps as f64)),
-                        (
-                            "median_ns".to_string(),
-                            JsonValue::Number(s.median_ns as f64),
-                        ),
-                        ("min_ns".to_string(), JsonValue::Number(s.min_ns as f64)),
-                        ("max_ns".to_string(), JsonValue::Number(s.max_ns as f64)),
-                        ("samples".to_string(), JsonValue::Number(s.samples as f64)),
-                        (
-                            "steps_per_sec".to_string(),
-                            JsonValue::Number(s.steps_per_sec()),
-                        ),
-                        (
-                            "ns_per_step".to_string(),
-                            JsonValue::Number(s.ns_per_step()),
-                        ),
-                    ]),
-                )
+                let rates = [
+                    ("steps_per_sec", s.steps_per_sec()),
+                    ("ns_per_step", s.ns_per_step()),
+                ];
+                let ns = [s.median_ns, s.min_ns, s.max_ns];
+                let record = timing_json(s.steps, ns, s.samples, &rates);
+                (s.config.label().to_string(), record)
             })
             .collect(),
     )
-}
-
-fn stats_from_json(v: &JsonValue) -> Option<Vec<ConfigThroughput>> {
-    let JsonValue::Object(entries) = v else {
-        return None;
-    };
-    let mut out = Vec::new();
-    for (label, stat) in entries {
-        let config = Config::from_label(label)?;
-        let num = |key: &str| -> Option<f64> {
-            match stat.get(key)? {
-                JsonValue::Number(n) => Some(*n),
-                _ => None,
-            }
-        };
-        out.push(ConfigThroughput {
-            config,
-            steps: num("steps")? as u64,
-            median_ns: num("median_ns")? as u64,
-            min_ns: num("min_ns")? as u64,
-            max_ns: num("max_ns")? as u64,
-            samples: num("samples")? as usize,
-        });
-    }
-    Some(out)
 }
 
 fn scenarios_to_json(stats: &[ScenarioThroughput]) -> JsonValue {
@@ -348,113 +344,25 @@ fn scenarios_to_json(stats: &[ScenarioThroughput]) -> JsonValue {
         stats
             .iter()
             .map(|s| {
-                (
-                    s.label.clone(),
-                    JsonValue::Object(vec![
-                        ("steps".to_string(), JsonValue::Number(s.steps as f64)),
-                        (
-                            "median_ns".to_string(),
-                            JsonValue::Number(s.median_ns as f64),
-                        ),
-                        ("min_ns".to_string(), JsonValue::Number(s.min_ns as f64)),
-                        ("max_ns".to_string(), JsonValue::Number(s.max_ns as f64)),
-                        ("samples".to_string(), JsonValue::Number(s.samples as f64)),
-                        (
-                            "steps_per_sec".to_string(),
-                            JsonValue::Number(s.steps_per_sec()),
-                        ),
-                    ]),
-                )
+                let rates = [("steps_per_sec", s.steps_per_sec())];
+                let ns = [s.median_ns, s.min_ns, s.max_ns];
+                (s.label.clone(), timing_json(s.steps, ns, s.samples, &rates))
             })
             .collect(),
     )
 }
 
-fn scenarios_from_json(v: &JsonValue) -> Option<Vec<ScenarioThroughput>> {
-    let JsonValue::Object(entries) = v else {
-        return None;
-    };
-    let mut out = Vec::new();
-    for (label, stat) in entries {
-        let num = |key: &str| -> Option<f64> {
-            match stat.get(key)? {
-                JsonValue::Number(n) => Some(*n),
-                _ => None,
-            }
-        };
-        out.push(ScenarioThroughput {
-            label: label.clone(),
-            steps: num("steps")? as u64,
-            median_ns: num("median_ns")? as u64,
-            min_ns: num("min_ns")? as u64,
-            max_ns: num("max_ns")? as u64,
-            samples: num("samples")? as usize,
-        });
-    }
-    Some(out)
-}
-
-/// Renders the report JSON. `baseline` is the pre-fast-path
-/// measurement (recorded with `sim_throughput --record-baseline`);
-/// when present, per-configuration speedups are included.
-/// `scenarios` is the event-wheel scenario section (`bigsmp_idle_*`);
-/// an empty slice omits it.
-pub fn report_json_with_scenarios(
-    current: &[ConfigThroughput],
-    baseline: Option<&[ConfigThroughput]>,
-    scenarios: &[ScenarioThroughput],
-) -> String {
-    report_json_inner(current, baseline, scenarios)
-}
-
-/// [`report_json_with_scenarios`] without a scenario section.
-pub fn report_json(current: &[ConfigThroughput], baseline: Option<&[ConfigThroughput]>) -> String {
-    report_json_inner(current, baseline, &[])
-}
-
-fn report_json_inner(
-    current: &[ConfigThroughput],
-    baseline: Option<&[ConfigThroughput]>,
-    scenarios: &[ScenarioThroughput],
-) -> String {
+/// Renders the report JSON: the `current` section, plus the
+/// event-wheel `scenarios` section (`bigsmp_idle_*`) unless
+/// `scenarios` is empty.
+pub fn report_json(current: &[ConfigThroughput], scenarios: &[ScenarioThroughput]) -> String {
+    let fingerprint = format!("{:#018x}", neve_cycles::CostModel::default().fingerprint());
     let mut root: Vec<(String, JsonValue)> = vec![
-        (
-            "schema".to_string(),
-            JsonValue::String("neve-bench-throughput-v1".to_string()),
-        ),
-        (
-            "methodology".to_string(),
-            JsonValue::String(METHODOLOGY.to_string()),
-        ),
-        (
-            "fingerprint".to_string(),
-            JsonValue::String(format!(
-                "{:#018x}",
-                neve_cycles::CostModel::default().fingerprint()
-            )),
-        ),
+        ("schema".to_string(), JsonValue::from(SCHEMA)),
+        ("methodology".to_string(), JsonValue::from(METHODOLOGY)),
+        ("fingerprint".to_string(), JsonValue::from(fingerprint)),
         ("current".to_string(), stats_to_json(current)),
     ];
-    if let Some(base) = baseline {
-        root.push(("baseline".to_string(), stats_to_json(base)));
-        let by_config: BTreeMap<Config, &ConfigThroughput> =
-            base.iter().map(|s| (s.config, s)).collect();
-        let speedups: Vec<(String, JsonValue)> = current
-            .iter()
-            .filter_map(|cur| {
-                let b = by_config.get(&cur.config)?;
-                let b_sps = b.steps_per_sec();
-                if b_sps == 0.0 {
-                    return None;
-                }
-                Some((
-                    cur.config.label().to_string(),
-                    JsonValue::Number(cur.steps_per_sec() / b_sps),
-                ))
-            })
-            .collect();
-        root.push(("speedup".to_string(), JsonValue::Object(speedups)));
-    }
     if !scenarios.is_empty() {
         root.push(("scenarios".to_string(), scenarios_to_json(scenarios)));
     }
@@ -504,29 +412,58 @@ pub fn guard_regressions(fresh: &[ConfigThroughput], recorded: &[ConfigThroughpu
     bad
 }
 
-/// Reads a section (`"current"` or `"baseline"`) back from a report
-/// file's text. Returns `None` if the text does not parse, the schema
-/// is unknown, or the section is absent.
-pub fn section_from_report(text: &str, section: &str) -> Option<Vec<ConfigThroughput>> {
+/// The `key` section of a report file's text. `None` if the text does
+/// not parse, the schema is unknown, or the section is absent.
+fn report_section(text: &str, key: &str) -> Option<Vec<(String, JsonValue)>> {
     let root = neve_json::parse(text).ok()?;
-    match root.get("schema")? {
-        JsonValue::String(s) if s == "neve-bench-throughput-v1" => {}
-        _ => return None,
+    if root.get("schema")? != &JsonValue::String(SCHEMA.to_string()) {
+        return None;
     }
-    stats_from_json(root.get(section)?)
+    match root.get(key)? {
+        JsonValue::Object(entries) => Some(entries.clone()),
+        _ => None,
+    }
+}
+
+/// Reads the `"current"` section back from a report file's text.
+/// Returns `None` if the text does not parse, the schema is unknown, or
+/// the section (or any record in it) is malformed or absent.
+pub fn section_from_report(text: &str) -> Option<Vec<ConfigThroughput>> {
+    report_section(text, "current")?
+        .iter()
+        .map(|(label, stat)| {
+            let (steps, [median_ns, min_ns, max_ns], samples) = timing_from_json(stat)?;
+            Some(ConfigThroughput {
+                config: Config::from_label(label)?,
+                steps,
+                median_ns,
+                min_ns,
+                max_ns,
+                samples,
+            })
+        })
+        .collect()
 }
 
 /// Reads the `"scenarios"` section back from a report file's text.
 /// Returns `None` if the text does not parse, the schema is unknown,
-/// or the section is absent (reports recorded before the event-wheel
-/// scheduler have none).
+/// or the section is malformed or absent (reports recorded before the
+/// event-wheel scheduler have none).
 pub fn scenarios_from_report(text: &str) -> Option<Vec<ScenarioThroughput>> {
-    let root = neve_json::parse(text).ok()?;
-    match root.get("schema")? {
-        JsonValue::String(s) if s == "neve-bench-throughput-v1" => {}
-        _ => return None,
-    }
-    scenarios_from_json(root.get("scenarios")?)
+    report_section(text, "scenarios")?
+        .iter()
+        .map(|(label, stat)| {
+            let (steps, [median_ns, min_ns, max_ns], samples) = timing_from_json(stat)?;
+            Some(ScenarioThroughput {
+                label: label.clone(),
+                steps,
+                median_ns,
+                min_ns,
+                max_ns,
+                samples,
+            })
+        })
+        .collect()
 }
 
 /// The scenario half of the throughput gate: per-label 20% bands like
@@ -619,23 +556,13 @@ mod tests {
             max_ns: 52_000_000,
             samples: 5,
         }];
-        let base = vec![ConfigThroughput {
-            config: Config::ArmNestedV83,
-            steps: 1_000_000,
-            median_ns: 150_000_000,
-            min_ns: 149_000_000,
-            max_ns: 152_000_000,
-            samples: 5,
-        }];
-        let text = report_json(&cur, Some(&base));
-        assert_eq!(section_from_report(&text, "current").unwrap(), cur);
-        assert_eq!(section_from_report(&text, "baseline").unwrap(), base);
-        // The speedup is the steps/sec ratio: 3x here.
+        let scen = vec![scenario("bigsmp_idle_8", 13_000, 1_000_000)];
+        let text = report_json(&cur, &scen);
+        assert_eq!(section_from_report(&text).unwrap(), cur);
+        assert_eq!(scenarios_from_report(&text).unwrap(), scen);
+        // `current` and `scenarios` are the report's only sections.
         let root = neve_json::parse(&text).unwrap();
-        match root.get("speedup").unwrap().get("ARMv8.3 Nested").unwrap() {
-            JsonValue::Number(n) => assert!((n - 3.0).abs() < 1e-9),
-            other => panic!("unexpected speedup value {other:?}"),
-        }
+        assert!(root.get("baseline").is_none() && root.get("speedup").is_none());
     }
 
     #[test]
@@ -781,12 +708,12 @@ mod tests {
             scenario("bigsmp_idle_8", 13_000, 1_000_000),
             scenario("bigsmp_idle_64", 13_056, 1_200_000),
         ];
-        let text = report_json_with_scenarios(&cur, None, &scen);
+        let text = report_json(&cur, &scen);
         assert_eq!(scenarios_from_report(&text).unwrap(), scen);
-        // The matrix sections are unaffected by the extra section.
-        assert_eq!(section_from_report(&text, "current").unwrap(), cur);
+        // The matrix section is unaffected by the extra section.
+        assert_eq!(section_from_report(&text).unwrap(), cur);
         // A scenario-less report (the pre-wheel format) has no section.
-        let old = report_json(&cur, None);
+        let old = report_json(&cur, &[]);
         assert!(scenarios_from_report(&old).is_none());
     }
 

@@ -77,7 +77,7 @@ fn main() {
     println!("Why it works (Section 5): on ARM, the trap cost is dominated by the");
     println!("exception machinery, not by *which* instruction trapped — the paper");
     println!("measured <10% variation across trapping instructions, and so does the");
-    println!("cost model here (run `cargo run -p neve-bench --bin trapcost`).");
+    println!("cost model here (run `cargo run -p neve-cli -- ablations`).");
     println!();
     println!("This is how the paper could claim, pre-silicon, that ARMv8.3 nesting");
     println!("would be an order of magnitude slower than x86 — and how NEVE could be");
