@@ -30,6 +30,31 @@ if grep -rl '"minimized": false' results/fuzz_corpus/ 2>/dev/null; then
     exit 1
 fi
 
+echo "==> default fuzz campaign (one reproducer per finding; the tracked corpus stays clean)"
+cargo run -q -p neve-cli --offline --bin neve -- fuzz > /dev/null
+corpus_changes=$(git status --porcelain -- results/fuzz_corpus)
+if [ -n "$corpus_changes" ]; then
+    printf '%s\n' "$corpus_changes" >&2
+    echo "neve fuzz changed results/fuzz_corpus/ (listed above)" >&2
+    exit 1
+fi
+
+echo "==> exports (matrix file + tracked exports, pinned digests)"
+# `neve export` is the one CLI writer of results/micro_matrix.json; it
+# runs before any step that hashes that file. The matrix file is
+# gitignored, so its digest is pinned here (and in the host benchmark)
+# and re-recording it cannot pass CI. The two other exports are
+# tracked, and must regenerate byte for byte.
+cargo run -q -p neve-cli --offline --release --bin neve -- export > /dev/null
+printf '%s\n' \
+    "772e5f96051d56c2b2c68cd7dfc77a30  results/micro_matrix.json" \
+    "38cb04e2fa5d7403675fd323f9cf5796  results/neve_results.json" \
+    "d23969bf912ef84cb54296498f2c4b5c  results/figure2.csv" \
+    | md5sum -c --quiet - || {
+    echo "neve export does not reproduce the pinned results/ digests" >&2
+    exit 1
+}
+
 echo "==> correctness oracles (differential + engine lockstep + trap algebra + golden tables)"
 cargo run -q -p neve-cli --offline --bin neve -- check --smoke
 
@@ -41,23 +66,7 @@ echo "$micro_md5_before" | md5sum -c --quiet - || {
     exit 1
 }
 
-echo "==> pinned digests (cold matrix, tracked exports, full consolidation table)"
-# The matrix and consolidation files are gitignored; their digests are
-# pinned here (and in the host benchmark) so re-recording a file cannot
-# pass CI. The two exports are tracked, and must regenerate byte for byte.
-cargo run -q -p neve-cli --offline --release --bin neve -- tables --no-cache > /dev/null
-echo "772e5f96051d56c2b2c68cd7dfc77a30  results/micro_matrix.json" | md5sum -c --quiet - || {
-    echo "results/micro_matrix.json does not match its pinned digest" >&2
-    exit 1
-}
-cargo run -q -p neve-cli --offline --release --bin neve -- export > /dev/null
-printf '%s\n' \
-    "38cb04e2fa5d7403675fd323f9cf5796  results/neve_results.json" \
-    "d23969bf912ef84cb54296498f2c4b5c  results/figure2.csv" \
-    | md5sum -c --quiet - || {
-    echo "neve export does not reproduce the tracked results/ exports" >&2
-    exit 1
-}
+echo "==> pinned digest (full consolidation table)"
 cargo run -q -p neve-cli --offline --release --bin neve -- consolidate > /dev/null
 echo "56390e53c0101ecdfa45f5a068a7d5fb  results/consolidate.json" | md5sum -c --quiet - || {
     echo "results/consolidate.json does not match its pinned digest" >&2
@@ -68,8 +77,8 @@ echo "==> serve smoke (coalescing + matrix byte-identity + budget containment)"
 micro_md5_before=$(md5sum results/micro_matrix.json)
 cargo run -q -p neve-cli --offline --release --bin neve -- serve --smoke
 # A live two-request session: the second identical request must be
-# served entirely from the store (never re-measured), and the streamed
-# full-grid matrix must be the cache file verbatim.
+# served entirely from the store (never re-measured), and the full grid
+# must stream from the matrix file `neve export` wrote.
 serve_log=$(printf '%s\n' \
     '{"id":"a","configs":["vm","x86-vm"],"benches":["hypercall","eoi"]}' \
     '{"id":"b","configs":["vm","x86-vm"],"benches":["hypercall","eoi"]}' \

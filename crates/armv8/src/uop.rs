@@ -30,7 +30,7 @@ use neve_cycles::{CostTable, Event};
 
 /// Which execution engine [`Machine::step`](crate::machine::Machine::step)
 /// dispatches through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Engine {
     /// Pre-decoded micro-op IR (the default). Falls back to the
     /// interpreter automatically while a trace, fault plan or checker

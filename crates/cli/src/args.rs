@@ -120,7 +120,8 @@ mod tests {
     const COMMANDS: &[Command] = &[
         ("help", &[], nop),
         ("micro", &["bench", "config", "iters"], nop),
-        ("tables", &["jobs", "no-cache"], nop),
+        ("tables", &["jobs"], nop),
+        ("faults", &["seed", "jobs", "smoke"], nop),
         ("trace", &["limit"], nop),
     ];
 
@@ -159,12 +160,13 @@ mod tests {
 
     #[test]
     fn boolean_flags_take_no_value() {
-        let p = parse(&sv(&["tables", "--no-cache", "--jobs", "4"])).unwrap();
-        assert!(p.has("no-cache"));
+        let p = parse(&sv(&["faults", "--smoke", "--jobs", "4"])).unwrap();
+        assert!(p.has("smoke"));
         assert_eq!(p.get_u64("jobs", 1).unwrap(), 4);
-        assert!(!parse(&sv(&["tables"])).unwrap().has("no-cache"));
+        assert!(!parse(&sv(&["faults"])).unwrap().has("smoke"));
         // Trailing boolean flag is fine; trailing value flag is not.
-        assert!(parse(&sv(&["tables", "--jobs", "2", "--no-cache"])).is_ok());
+        assert!(parse(&sv(&["faults", "--jobs", "2", "--smoke"])).is_ok());
+        assert!(parse(&sv(&["faults", "--smoke", "--seed"])).is_err());
     }
 
     #[test]
@@ -177,12 +179,12 @@ mod tests {
     fn rejects_flags_the_subcommand_does_not_take() {
         // A typo is a usage error naming the flag and the accepted set,
         // not a silently ignored option.
-        let err = parse(&sv(&["tables", "--jbos", "3"])).unwrap_err();
+        let err = parse(&sv(&["faults", "--jbos", "3"])).unwrap_err();
         assert!(err.contains("--jbos"), "{err}");
-        assert!(err.contains("--jobs, --no-cache"), "{err}");
+        assert!(err.contains("--seed, --jobs, --smoke"), "{err}");
         // A real flag of another subcommand is just as foreign here.
         assert!(parse(&sv(&["tables", "--iters", "3"])).is_err());
-        assert!(parse(&sv(&["help", "--no-cache"]))
+        assert!(parse(&sv(&["help", "--smoke"]))
             .unwrap_err()
             .contains("no flags"));
         assert!(parse(&sv(&["frobnicate"])).is_err());

@@ -80,7 +80,8 @@ fn record(samples: usize, engine: Engine) -> Result<(), String> {
 }
 
 /// The CI determinism gate: the freshly measured matrix must
-/// serialize byte-identically to the cached file (same fingerprint).
+/// serialize byte-identically to the matrix file `neve export` wrote
+/// (same fingerprint).
 fn smoke(samples: usize, engine: Engine) -> Result<(), String> {
     let fingerprint = CostModel::default().fingerprint();
     let measure = || cache::to_json(&MicroMatrix::measure_parallel(default_jobs()), fingerprint);
@@ -93,13 +94,13 @@ fn smoke(samples: usize, engine: Engine) -> Result<(), String> {
                 return Err(format!(
                     "freshly measured matrix differs from {CACHE_PATH} for fingerprint \
                      {fingerprint:#018x} — the simulation is no longer bit-identical to \
-                     the cached measurement"
+                     the exported measurement"
                 ));
             }
             println!("matrix byte-identical to {CACHE_PATH} (fingerprint {fingerprint:#018x})");
         }
         None => {
-            // No comparable cache: fall back to self-consistency, which
+            // No comparable file: fall back to self-consistency, which
             // still catches nondeterminism introduced by a change.
             if measure() != measure() {
                 return Err(
@@ -107,7 +108,7 @@ fn smoke(samples: usize, engine: Engine) -> Result<(), String> {
                 );
             }
             println!(
-                "no cache for fingerprint {fingerprint:#018x}; \
+                "no {CACHE_PATH} for fingerprint {fingerprint:#018x}; \
                  two fresh measurements are byte-identical"
             );
         }

@@ -99,13 +99,9 @@ pub(crate) fn per_op(
 /// Every subcommand, the flags it accepts, and its entry point.
 const COMMANDS: &[Command] = &[
     ("micro", &["bench", "config", "iters"], micro),
-    ("tables", &["jobs", "no-cache"], report::tables_cmd),
-    (
-        "figure2",
-        &["explain", "jobs", "no-cache"],
-        report::figure2_cmd,
-    ),
-    ("export", &["jobs", "no-cache"], report::export_cmd),
+    ("tables", &["jobs"], report::tables_cmd),
+    ("figure2", &["explain", "jobs"], report::figure2_cmd),
+    ("export", &["jobs"], report::export_cmd),
     ("ablations", &[], studies::ablations_cmd),
     ("trace", &["config", "bench", "json", "limit"], trace_cmd),
     (
@@ -118,7 +114,7 @@ const COMMANDS: &[Command] = &[
         &["seed", "cases", "jobs", "smoke", "corpus-dir", "replay"],
         fuzz_cmd,
     ),
-    ("check", &["smoke", "jobs", "no-cache"], check_cmd),
+    ("check", &["smoke", "jobs"], check_cmd),
     (
         "bench-sim",
         &["samples", "engine", "smoke", "guard"],
@@ -152,12 +148,12 @@ neve - the NEVE nested-virtualization simulator
 
 USAGE:
     neve micro   [--bench B] [--config C] [--iters N]   run one microbenchmark
-    neve tables  [--jobs N] [--no-cache]                regenerate Tables 1/6/7
+    neve tables  [--jobs N]                             regenerate Tables 1/6/7
                                                         beside the paper's values
-    neve figure2 [--explain WORKLOAD] [--jobs N] [--no-cache]
-                                                        regenerate Figure 2
-    neve export  [--jobs N] [--no-cache]                write results/neve_results.json
-                                                        and results/figure2.csv
+    neve figure2 [--explain WORKLOAD] [--jobs N]        regenerate Figure 2
+    neve export  [--jobs N]                             write results/neve_results.json,
+                                                        results/figure2.csv and
+                                                        results/micro_matrix.json
     neve ablations                                      Section 5 trap-cost study
                                                         and Ablations A-E
     neve trace   <config> <bench> [--json] [--limit N]  world-switch anatomy
@@ -167,7 +163,7 @@ USAGE:
     neve fuzz    [--seed N] [--cases N] [--jobs N] [--smoke]
                  [--corpus-dir D] [--replay FILE]       coverage-guided fuzzing
                                                         with snapshot/restore
-    neve check   [--smoke] [--jobs N] [--no-cache]      correctness oracles:
+    neve check   [--smoke] [--jobs N]                   correctness oracles:
                                                         differential v8.3-vs-NEVE
                                                         lockstep, trap algebra,
                                                         golden-table diff
@@ -194,13 +190,14 @@ prints every architectural event of the last round trip (each trap
 annotated with the system register that caused it and the world-switch
 phase it interrupted), then the per-phase cycle/trap attribution and the
 per-kind trap totals behind Table 7. --json emits the same data in the
-results-cache schema.
+schema of results/micro_matrix.json.
 
-Table, figure and export commands measure the 28-cell evaluation
-matrix in parallel (--jobs N workers, default: available cores) and
-cache the results keyed by the cost-model fingerprint; pass --no-cache
-to force a fresh measurement. If any cell fails to measure, the partial
-results still print (failed rows as 0) and the command exits non-zero.
+Table, figure, export and check commands measure the 28-cell
+evaluation matrix afresh on every run, in parallel (--jobs N workers,
+default: available cores). `neve export` also writes it, keyed by the
+cost-model fingerprint, to results/micro_matrix.json. If any cell fails
+to measure, the partial results still print (failed rows as 0) and the
+command exits non-zero.
 
 `neve ablations` runs the paper's validation studies in turn: the
 Section 5 trap-cost study (every trapping instruction costs the same
@@ -270,17 +267,19 @@ a reduced table twice and demands byte-identical reports (the CI
 gate, also exercised across --jobs fan-outs); --json prints the
 artifact instead of the table.
 
-`neve serve` hosts the other job kinds as a long-running engine: each
-stdin (or TCP, with --listen ADDR) line is a JSON request naming a job
-kind (micro, faults, fuzz, consolidate, bench-sim) and its sweep axes
-(configs x benches x engine x budget x fault plan). Requests decompose
-into content-addressed cells run by --jobs workers from one queue;
-identical cells — within one request, across
-requests, or across connections — coalesce onto one computation, and
-repeat queries are answered from the in-memory store or the on-disk
-matrix cache. Results stream back as JSONL events (accepted, one cell
-per line with its cycles/traps and provenance source, then done with
-the assembled matrix or rendered report). A cell that exhausts its
+`neve serve` measures evaluation-matrix cells as a long-running engine:
+each stdin (or TCP, with --listen ADDR) line is a JSON request naming
+its sweep axes (configs x benches x engine x budget x fault plan); the
+campaigns (faults, fuzz, consolidate, bench-sim) run only as the
+subcommands above. Requests decompose into content-addressed cells run
+by --jobs workers from one queue; identical cells — within one request,
+across requests, or across connections — coalesce onto one
+computation, and repeat queries are answered from the in-memory store.
+A full default grid is answered from results/micro_matrix.json when
+that file is valid (--no-cache skips it), and written back there after
+a fresh measurement. Results stream back as JSONL events (accepted, one
+cell per line with its cycles/traps and provenance source, then done
+with the assembled matrix when the request covers all four benches). A cell that exhausts its
 --budget streams as failed while the rest of the batch completes; a
 submission whose new cells would push the queue past --max-queued
 (default 1024) is refused with a single structured error. --smoke proves the coalescing, byte-identity, and
@@ -473,7 +472,7 @@ fn fuzz_cmd(p: &args::Parsed) -> Result<(), String> {
 
 /// Runs the correctness oracles (`neve check`): the lockstep
 /// differential state oracle, the trap-count algebra, and the
-/// golden-table diff, over the cached (or freshly measured) matrix.
+/// golden-table diff, over a freshly measured matrix.
 /// Exits non-zero on any violation.
 fn check_cmd(p: &args::Parsed) -> Result<(), String> {
     let smoke = p.has("smoke");
@@ -496,7 +495,8 @@ fn check_cmd(p: &args::Parsed) -> Result<(), String> {
 /// Traces one microbenchmark's measured region and prints the anatomy
 /// of the nested world switch — the paper's Section 5 prose as an event
 /// log with trap provenance — plus the per-phase and per-kind summary.
-/// `--json` emits the same data in the results-cache schema instead.
+/// `--json` emits the same data in the schema of
+/// `results/micro_matrix.json` instead.
 fn trace_cmd(p: &args::Parsed) -> Result<(), String> {
     if p.positionals.len() > 2 {
         return Err(format!(
@@ -644,6 +644,16 @@ mod tests {
     #[test]
     fn unknown_subcommand_is_an_error() {
         assert!(dispatch(&sv(&["frobnicate"])).is_err());
+    }
+
+    #[test]
+    fn only_serve_takes_no_cache() {
+        for cmd in ["tables", "figure2", "export", "check"] {
+            let err = dispatch(&sv(&[cmd, "--no-cache"])).unwrap_err();
+            assert!(err.contains("does not take --no-cache"), "{cmd}: {err}");
+        }
+        let serve = COMMANDS.iter().find(|c| c.0 == "serve").unwrap();
+        assert!(serve.1.contains(&"no-cache"));
     }
 
     #[test]

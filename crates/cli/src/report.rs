@@ -1,10 +1,12 @@
 //! The paper's reports: Tables 1/6/7 and Figure 2 printed next to the
 //! published values (`neve tables`, `neve figure2`), and their JSON/CSV
-//! export (`neve export`). All three read the shared evaluation matrix.
+//! export (`neve export`). Each measures the shared evaluation matrix
+//! afresh; `neve export` also writes it to `results/micro_matrix.json`.
 
 use crate::args;
+use neve_cycles::CostModel;
 use neve_json::JsonValue;
-use neve_workloads::cache::{self, MatrixSource};
+use neve_workloads::cache::{self, CACHE_PATH};
 use neve_workloads::par::default_jobs;
 use neve_workloads::platforms::{Config, MicroMatrix, PerOpSer};
 use neve_workloads::{apps, provenance, tables};
@@ -41,34 +43,16 @@ mod paper {
     ];
 }
 
-/// Resolves the shared evaluation matrix for the report commands:
-/// cache hit when `results/micro_matrix.json` matches the current cost
-/// model, a parallel re-measurement otherwise.
+/// Measures the shared evaluation matrix for the report commands on
+/// `--jobs` worker threads (default: available cores).
 pub(crate) fn matrix(p: &args::Parsed) -> Result<MicroMatrix, String> {
     let jobs = p.get_u64("jobs", default_jobs() as u64)?.max(1) as usize;
-    let use_cache = !p.has("no-cache");
-    let (m, source) = cache::load_or_measure(jobs, use_cache);
-    match source {
-        MatrixSource::Cache => println!(
-            "Loaded measurements from {} (--no-cache to refresh).\n",
-            cache::CACHE_PATH
-        ),
-        MatrixSource::Measured => println!(
-            "Measured every configuration ({jobs} worker threads); cached at {}.\n",
-            cache::CACHE_PATH
-        ),
-        MatrixSource::Quarantined => println!(
-            "Cache was corrupt; quarantined to {}.<pid>.<seq>.corrupt and \
-             re-measured every configuration ({jobs} worker threads).\n",
-            cache::CACHE_PATH
-        ),
-    }
-    Ok(m)
+    Ok(MicroMatrix::measure_parallel(jobs))
 }
 
 /// Renders the failed cells of a partial matrix and produces the
 /// non-zero-exit error the report commands end with. Partial results
-/// are still printed (and cached) before this runs — a faulted cell
+/// are still printed before this runs — a faulted cell
 /// degrades the report, it does not discard it.
 fn failure_report(m: &MicroMatrix) -> String {
     let mut lines = vec![format!(
@@ -210,10 +194,12 @@ pub(crate) fn figure2_cmd(p: &args::Parsed) -> Result<(), String> {
 
 /// Exports every regenerated result (`neve export`): the
 /// microbenchmark matrix and Figure 2 as `results/neve_results.json`,
-/// and Figure 2 as `results/figure2.csv`, for downstream plotting. The
-/// per-config provenance block (`trap_kinds` + `phases`) is rendered by
-/// the same [`provenance`] helper the results cache and `neve trace
-/// --json` use, so the three exports share one schema.
+/// Figure 2 as `results/figure2.csv`, for downstream plotting, and the
+/// matrix in its own schema as `results/micro_matrix.json`, which
+/// `neve serve`'s disk tier answers from. The per-config provenance
+/// block (`trap_kinds` + `phases`) is rendered by the same
+/// [`provenance`] helper the matrix file and `neve trace --json` use,
+/// so the three exports share one schema.
 pub(crate) fn export_cmd(p: &args::Parsed) -> Result<(), String> {
     fs::create_dir_all("results").map_err(|e| format!("cannot create results/: {e}"))?;
     let m = matrix(p)?;
@@ -281,6 +267,11 @@ pub(crate) fn export_cmd(p: &args::Parsed) -> Result<(), String> {
     fs::write("results/figure2.csv", &csv)
         .map_err(|e| format!("cannot write results/figure2.csv: {e}"))?;
     println!("Wrote results/figure2.csv.");
+
+    let matrix = cache::to_json(&m, CostModel::default().fingerprint());
+    cache::write_atomically(std::path::Path::new(CACHE_PATH), &matrix)
+        .map_err(|e| format!("cannot write {CACHE_PATH}: {e}"))?;
+    println!("Wrote {CACHE_PATH}.");
     if m.has_failures() {
         return Err(format!(
             "{} matrix cell(s) failed to measure; the export contains zero placeholders",

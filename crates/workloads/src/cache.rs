@@ -1,148 +1,26 @@
-//! Persistent results cache for the evaluation matrix.
+//! The evaluation matrix's JSON schema and its file,
+//! `results/micro_matrix.json`.
 //!
-//! Measuring the full matrix means simulating 28 testbeds; the report
-//! subcommands (`neve tables`, `neve figure2`, `neve export`,
-//! `neve check`) all need the same data. The cache lets them measure once and share: the matrix is
-//! written to `results/micro_matrix.json`, keyed by the
-//! [`CostModel`](neve_cycles::CostModel) fingerprint, and later runs
-//! load it instead of re-measuring.
-//!
-//! Staleness safety: a cache whose fingerprint does not match the
-//! *current* cost model is ignored and overwritten — edit any
-//! calibrated constant and every number is re-measured. A corrupt or
-//! truncated file is likewise ignored, never trusted.
+//! [`to_json`] is the one matrix serializer: `neve export` writes the
+//! file with it, `neve serve` streams it in `done` events, and the host
+//! benchmark digests it. The report commands do not read the file; they
+//! re-measure the 28 cells on every run (a few tens of ms). Two readers
+//! remain, and both go through [`from_json`], which rejects a document
+//! measured under another cost model: `neve serve`'s disk tier, and
+//! `neve bench-sim --smoke`, which compares a fresh grid to the file.
 
 use crate::platforms::{Config, MicroCosts, MicroMatrix, PerOpSer, PhaseStat};
-use neve_cycles::CostModel;
 use neve_json::JsonValue;
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Default cache location, relative to the working directory (next to
-/// `neve export`'s outputs).
+/// The matrix file, relative to the working directory (next to
+/// `neve export`'s other outputs).
 pub const CACHE_PATH: &str = "results/micro_matrix.json";
 
-/// Where a matrix came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatrixSource {
-    /// Loaded from a valid cache file.
-    Cache,
-    /// Freshly measured (no cache, stale fingerprint, or `--no-cache`).
-    Measured,
-    /// Freshly measured after quarantining a corrupt cache file to
-    /// `<path>.<pid>.<seq>.corrupt` (truncated write, bit rot, or hand
-    /// editing).
-    Quarantined,
-}
-
-/// What a read of the cache file found.
-enum CacheRead {
-    /// Valid for the current cost model.
-    Valid(MicroMatrix),
-    /// Missing or unreadable: nothing to distrust, just measure.
-    Absent,
-    /// Readable and parseable, but for a different cost model or an
-    /// older schema: the normal staleness rule, overwrite in place.
-    Stale,
-    /// Not even parseable JSON (or the fingerprint itself is mangled):
-    /// quarantine the file before overwriting so the evidence survives.
-    Corrupt,
-}
-
-fn read_cache(path: &Path, fingerprint: u64) -> CacheRead {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return CacheRead::Absent;
-    };
-    let Ok(doc) = neve_json::parse(&text) else {
-        return CacheRead::Corrupt;
-    };
-    // A document whose fingerprint is absent or malformed was not
-    // written by this code: corrupt, not merely stale.
-    let fp = doc
-        .get("fingerprint")
-        .and_then(|v| v.as_str())
-        .and_then(|s| s.strip_prefix("0x"))
-        .and_then(|s| u64::from_str_radix(s, 16).ok());
-    let Some(fp) = fp else {
-        return CacheRead::Corrupt;
-    };
-    if fp != fingerprint {
-        return CacheRead::Stale;
-    }
-    match from_json(&text, fingerprint) {
-        Some(m) => CacheRead::Valid(m),
-        None => CacheRead::Stale,
-    }
-}
-
-/// Loads the matrix from `CACHE_PATH` if it is valid for the current
-/// cost model; otherwise measures across `jobs` threads and writes the
-/// cache back. With `use_cache` false, always re-measures (still
-/// refreshing the file, so later cached runs agree with this one).
-pub fn load_or_measure(jobs: usize, use_cache: bool) -> (MicroMatrix, MatrixSource) {
-    load_or_measure_at(Path::new(CACHE_PATH), jobs, use_cache)
-}
-
-/// [`load_or_measure`] against an explicit path (tests use a temp dir).
-pub fn load_or_measure_at(
-    path: &Path,
-    jobs: usize,
-    use_cache: bool,
-) -> (MicroMatrix, MatrixSource) {
-    let fingerprint = CostModel::default().fingerprint();
-    let mut source = MatrixSource::Measured;
-    if use_cache {
-        match read_cache(path, fingerprint) {
-            CacheRead::Valid(m) => return (m, MatrixSource::Cache),
-            CacheRead::Corrupt => {
-                // Keep the damaged bytes for post-mortem instead of
-                // silently overwriting them; a failed rename (another
-                // process won the race, exotic permissions) still
-                // falls through to a re-measure.
-                quarantine_corrupt(path);
-                source = MatrixSource::Quarantined;
-            }
-            CacheRead::Absent | CacheRead::Stale => {}
-        }
-    }
-    let m = MicroMatrix::measure_parallel(jobs);
-    // Failing to persist is not fatal (read-only checkout, missing
-    // permissions): the caller still gets fresh numbers.
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    // Atomic replace: two report processes racing must never leave a
-    // torn file for a third to read. Write a process-unique temp file
-    // in the same directory (rename is only atomic within one
-    // filesystem), then rename into place.
-    let _ = write_atomically(path, &to_json(&m, fingerprint));
-    (m, source)
-}
-
-/// Moves a corrupt cache file aside as
-/// `<file>.<pid>.<seq>.corrupt` so the damaged bytes survive for
-/// post-mortem. The name is process-unique (pid) *and* call-unique
-/// (an in-process counter), mirroring the temp-file write path: two
-/// processes — or two threads — that both find the same corrupt file
-/// each rename toward a different target, so the race is only over
-/// the source. `rename(2)` is atomic there: exactly one caller wins
-/// the bytes, the losers get a failed rename and simply re-measure.
-///
-/// Returns the quarantine path if this caller won, `None` if the file
-/// was already gone (or undeletable).
-pub fn quarantine_corrupt(path: &Path) -> Option<std::path::PathBuf> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    let mut quarantine = path.to_path_buf();
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("cache");
-    quarantine.set_file_name(format!("{name}.{}.{seq}.corrupt", std::process::id()));
-    std::fs::rename(path, &quarantine).ok().map(|_| quarantine)
-}
-
 /// Atomically replaces `path` with `contents` (same-directory temp
-/// file + rename); shared by the matrix cache and the throughput
-/// report writer.
+/// file + rename), so a concurrent reader never sees a torn file.
+/// Shared by every writer under `results/`.
 ///
 /// # Errors
 ///
@@ -379,96 +257,6 @@ mod tests {
         assert!(text.contains("failures"));
         let back = from_json(&text, 42).expect("round trip");
         assert_eq!(back, failed);
-    }
-
-    /// All `*.corrupt` quarantine files in `dir`, with their contents.
-    fn quarantine_files(dir: &Path) -> Vec<(std::path::PathBuf, String)> {
-        let mut found = Vec::new();
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let p = entry.unwrap().path();
-            if p.to_str().is_some_and(|s| s.ends_with(".corrupt")) {
-                let text = std::fs::read_to_string(&p).unwrap();
-                found.push((p, text));
-            }
-        }
-        found
-    }
-
-    #[test]
-    fn corrupt_cache_is_quarantined_and_remeasured() {
-        // A garbage cache file must be moved aside as `*.corrupt`, a
-        // fresh measurement written in its place, and the rewritten
-        // cache must then load cleanly under the same fingerprint.
-        let dir =
-            std::env::temp_dir().join(format!("neve-cache-test-{}-single", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("micro_matrix.json");
-        std::fs::write(&path, "{ not json at all").unwrap();
-
-        let (m, source) = load_or_measure_at(&path, 4, true);
-        assert_eq!(source, MatrixSource::Quarantined);
-        let quarantined = quarantine_files(&dir);
-        assert_eq!(quarantined.len(), 1, "{quarantined:?}");
-        assert_eq!(
-            quarantined[0].1, "{ not json at all",
-            "the damaged bytes must survive for post-mortem"
-        );
-        let name = quarantined[0].0.file_name().unwrap().to_str().unwrap();
-        assert!(
-            name.starts_with(&format!("micro_matrix.json.{}.", std::process::id())),
-            "quarantine name must be process-unique: {name}"
-        );
-
-        let (again, source2) = load_or_measure_at(&path, 4, true);
-        assert_eq!(source2, MatrixSource::Cache);
-        assert_eq!(again, m, "re-measured cache must load back identically");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The satellite bugfix's regression test: two concurrent actors
-    /// that both find the same corrupt cache race on the quarantine.
-    /// With process/call-unique targets, `rename(2)` atomicity on the
-    /// shared *source* guarantees exactly one winner; the loser's
-    /// rename fails cleanly and it just re-measures — the damaged
-    /// bytes are never lost and never duplicated.
-    #[test]
-    fn concurrent_corruption_quarantine_has_exactly_one_winner() {
-        let dir = std::env::temp_dir().join(format!("neve-cache-test-{}-race", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("micro_matrix.json");
-
-        for round in 0..8 {
-            std::fs::write(&path, format!("{{ corrupt round {round}")).unwrap();
-            let barrier = std::sync::Barrier::new(2);
-            let (a, b) = std::thread::scope(|s| {
-                let h1 = s.spawn(|| {
-                    barrier.wait();
-                    quarantine_corrupt(&path)
-                });
-                let h2 = s.spawn(|| {
-                    barrier.wait();
-                    quarantine_corrupt(&path)
-                });
-                (h1.join().unwrap(), h2.join().unwrap())
-            });
-            assert!(
-                a.is_some() ^ b.is_some(),
-                "exactly one racer must win the bytes: {a:?} vs {b:?}"
-            );
-            let winner = a.or(b).unwrap();
-            assert_eq!(
-                std::fs::read_to_string(&winner).unwrap(),
-                format!("{{ corrupt round {round}"),
-                "the winner holds the intact damaged bytes"
-            );
-            assert!(!path.exists(), "the corrupt original must be gone");
-        }
-        // Every round quarantined under a distinct name: nothing was
-        // overwritten across rounds.
-        assert_eq!(quarantine_files(&dir).len(), 8);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

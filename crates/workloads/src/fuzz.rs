@@ -375,7 +375,13 @@ fn run_leg(m: &mut Machine) -> (LegEnd, u64, u64) {
         gprs,
         mem_probe,
     };
-    (end, m.counter.cycles() - start_cycles, h.irq_traps)
+    // An injected counter reset can move the cycle source backwards;
+    // the delta is only compared between uninjected legs, so wrap.
+    (
+        end,
+        m.counter.cycles().wrapping_sub(start_cycles),
+        h.irq_traps,
+    )
 }
 
 /// First field where two leg ends differ, for divergence details.
@@ -704,6 +710,20 @@ fn reproducer_json(rec: &FindingRecord, campaign_seed: u64) -> String {
     .pretty()
 }
 
+/// A finding's identity across cases: its kind plus its detail with
+/// the checker's `step N cpuK:` position prefix stripped, so the same
+/// violation reached at another step or on another core is one finding.
+fn signature(f: &Finding) -> (FindingKind, &str) {
+    let position = |rest: &str| -> Option<usize> {
+        let (pos, _) = rest.split_once(": ")?;
+        let (step, cpu) = pos.strip_prefix("step ")?.split_once(" cpu")?;
+        let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+        (digits(step) && digits(cpu)).then_some(pos.len() + 2)
+    };
+    let detail = f.detail.as_str();
+    (f.kind, position(detail).map_or(detail, |n| &detail[n..]))
+}
+
 /// Writes one reproducer; returns its path.
 fn persist(rec: &FindingRecord, dir: &str, campaign_seed: u64) -> Result<String, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
@@ -882,9 +902,12 @@ pub fn run_fuzz(spec: &FuzzSpec) -> Result<FuzzReport, String> {
         }
     }
 
-    // Minimize + persist, sequentially and in case order.
+    // Minimize + persist, sequentially and in case order. One
+    // reproducer per signature: a later finding with the same signature
+    // points at the first one's file instead of adding another.
     let mut rig = Rig::new()?;
     let mut records = Vec::new();
+    let mut persisted: Vec<(FindingKind, String, String)> = Vec::new();
     for (idx, case, finding) in findings.into_iter().take(MAX_MINIMIZED) {
         let original_len = case.instrs.len();
         let min = minimize(&mut rig, &case, finding.kind);
@@ -897,7 +920,19 @@ pub fn run_fuzz(spec: &FuzzSpec) -> Result<FuzzReport, String> {
             file: None,
         };
         if let Some(dir) = &spec.corpus_dir {
-            rec.file = Some(persist(&rec, dir, spec.seed)?);
+            let (kind, detail) = signature(&rec.finding);
+            let first = persisted
+                .iter()
+                .find(|(k, d, _)| *k == kind && d == detail)
+                .map(|(_, _, file)| file.clone());
+            rec.file = Some(match first {
+                Some(file) => file,
+                None => {
+                    let file = persist(&rec, dir, spec.seed)?;
+                    persisted.push((kind, detail.to_string(), file.clone()));
+                    file
+                }
+            });
         }
         records.push(rec);
     }
@@ -1042,6 +1077,56 @@ mod tests {
             out.observed
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_default_campaign_persists_one_reproducer_per_signature() {
+        let dir = std::env::temp_dir().join(format!("neve-fuzz-sig-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = spec(96, 2);
+        s.corpus_dir = Some(dir.display().to_string());
+        let r = run_fuzz(&s).unwrap();
+        let mut signatures: Vec<(FindingKind, &str)> = Vec::new();
+        for f in &r.findings {
+            let sig = signature(&f.finding);
+            if !signatures.contains(&sig) {
+                signatures.push(sig);
+            }
+        }
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            r.findings.len() > signatures.len(),
+            "the default campaign reaches one violation from several cases"
+        );
+        assert_eq!(files, signatures.len(), "one reproducer per signature");
+        // Every finding, duplicates included, names a persisted file.
+        for f in &r.findings {
+            let first = r
+                .findings
+                .iter()
+                .find(|g| signature(&g.finding) == signature(&f.finding))
+                .unwrap();
+            assert_eq!(f.file, first.file);
+        }
+    }
+
+    #[test]
+    fn signatures_strip_only_the_position_prefix() {
+        let f = |detail: &str| Finding {
+            kind: FindingKind::CheckerViolation,
+            detail: detail.into(),
+        };
+        let a = f("step 511 cpu0: malformed-stage2: root slot 0");
+        let b = f("step 514 cpu1: malformed-stage2: root slot 0");
+        assert_eq!(signature(&a), signature(&b));
+        assert_eq!(signature(&a).1, "malformed-stage2: root slot 0");
+        let plain = f("cycles: interp 5 vs uop 6");
+        assert_eq!(signature(&plain).1, "cycles: interp 5 vs uop 6");
+        assert_ne!(
+            signature(&a),
+            signature(&f("step 511 cpu0: malformed-stage2: root slot 1"))
+        );
     }
 
     #[test]

@@ -2,37 +2,27 @@
 //! content-addressed cell keys, and the decomposition of one batched
 //! sweep request into independently schedulable cells.
 //!
-//! A request names a *sweep slice* — which job kind, which
+//! A request names a *sweep slice* of the evaluation matrix — which
 //! configurations, which benchmarks, which step engine, an optional
 //! fault plan and an optional step budget — and the engine splits it
-//! into cells. Two requests that describe the same cell (same cost
-//! model, same knobs) produce the same [`CellKey`], which is what lets
-//! the serve store coalesce duplicate in-flight work and serve repeat
-//! queries from memory.
+//! into one cell per (configuration, benchmark). Two requests that
+//! describe the same cell (same cost model, same knobs) produce the
+//! same [`CellKey`], which is what lets the serve store coalesce
+//! duplicate in-flight work and serve repeat queries from memory.
+//! Campaigns (`faults`, `fuzz`, `consolidate`, `bench-sim`) are not
+//! jobs: they run as `neve` subcommands.
 
-use crate::consolidate::ConsolidateSpec;
-use crate::faults::CampaignSpec;
-use crate::fuzz::FuzzSpec;
 use crate::platforms::Config;
 use crate::session::Bench;
 use neve_armv8::{Engine, FaultPlan};
 use neve_json::JsonValue;
 
-/// The job kinds a serve request can name (the former one-shot CLI
-/// subcommands, now schedulable as cells).
+/// The job kinds a serve request can name: only evaluation-matrix
+/// measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum JobKind {
     /// Evaluation-matrix measurement: one cell per (config, bench).
     Micro,
-    /// The fault-injection campaign (one report cell).
-    Faults,
-    /// The coverage-guided fuzzing campaign (one report cell).
-    Fuzz,
-    /// The multi-VM consolidation table (one report cell).
-    Consolidate,
-    /// Host-throughput measurement (one report cell; wall-clock, so
-    /// never cached in the result store).
-    BenchSim,
 }
 
 impl JobKind {
@@ -40,28 +30,12 @@ impl JobKind {
     pub fn label(self) -> &'static str {
         match self {
             JobKind::Micro => "micro",
-            JobKind::Faults => "faults",
-            JobKind::Fuzz => "fuzz",
-            JobKind::Consolidate => "consolidate",
-            JobKind::BenchSim => "bench-sim",
         }
-    }
-
-    fn from_label(s: &str) -> Option<JobKind> {
-        [
-            JobKind::Micro,
-            JobKind::Faults,
-            JobKind::Fuzz,
-            JobKind::Consolidate,
-            JobKind::BenchSim,
-        ]
-        .into_iter()
-        .find(|k| k.label() == s)
     }
 }
 
 /// Resolves a configuration from either its table label (`"ARM VM"`,
-/// the cache's keys) or its CLI alias (`"vm"`, `"v83"`, ...).
+/// the matrix file's keys) or its CLI alias (`"vm"`, `"v83"`, ...).
 pub fn config_from_name(name: &str) -> Option<Config> {
     if let Some(c) = Config::from_label(name) {
         return Some(c);
@@ -91,13 +65,6 @@ pub fn bench_from_name(name: &str) -> Option<Bench> {
     })
 }
 
-fn engine_label(e: Engine) -> &'static str {
-    match e {
-        Engine::Uop => "uop",
-        Engine::Interp => "interp",
-    }
-}
-
 /// One parsed request line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -112,112 +79,73 @@ pub enum Command {
 pub struct JobRequest {
     /// Caller-chosen id; every streamed event echoes it.
     pub id: String,
-    /// Which job kind to run.
+    /// Which job kind to run (always [`JobKind::Micro`]).
     pub kind: JobKind,
-    /// Configurations to sweep (micro only; defaults to all).
+    /// Configurations to sweep (defaults to all).
     pub configs: Vec<Config>,
-    /// Benchmarks to sweep (micro only; defaults to all four).
+    /// Benchmarks to sweep (defaults to all four).
     pub benches: Vec<Bench>,
     /// Step engine for ARM cells.
     pub engine: Engine,
-    /// Per-cell step budget (micro only; `None` = platform default).
-    /// The PR 3 watchdog turns an exhausted budget into a structured
-    /// `SimFault`, so an over-budget cell streams as `failed` while
-    /// the rest of the batch completes — backpressure, not poison.
+    /// Per-cell step budget (`None` = platform default). The watchdog
+    /// turns an exhausted budget into a structured `SimFault`, so an
+    /// over-budget cell streams as `failed` while the rest of the
+    /// batch completes — backpressure, not poison.
     pub budget: Option<u64>,
-    /// Fault plan `(builtin name, seed)` attached to every ARM cell
-    /// (micro only).
+    /// Fault plan `(builtin name, seed)` attached to every ARM cell.
     pub plan: Option<(String, u64)>,
-    /// Campaign seed (faults/fuzz kinds).
+    /// Ignored. Left from the campaign job kinds; the wire protocol no
+    /// longer reads it.
     pub seed: u64,
-    /// Fuzz first-round cases.
+    /// Ignored, like `seed`.
     pub cases: usize,
-    /// Reduced grid for the campaign kinds.
+    /// Ignored, like `seed`.
     pub smoke: bool,
-    /// Timed samples (bench-sim kind).
+    /// Ignored, like `seed`.
     pub samples: usize,
 }
 
-/// The content address of one schedulable cell. Everything that can
-/// change a cell's result is part of the key — cost-model fingerprint,
-/// configuration, benchmark, engine, budget, fault plan — so equal
-/// keys are interchangeable results and the store can coalesce and
-/// cache on key identity alone. `BTreeMap`-friendly (`Ord`).
+/// The content address of one schedulable cell, and all a worker needs
+/// to run it. Everything that can change a cell's result is part of
+/// the key — cost-model fingerprint, configuration, benchmark, engine,
+/// budget, fault plan — so equal keys are interchangeable results and
+/// the store can coalesce and cache on key identity alone.
+/// `BTreeMap`-friendly (`Ord`).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CellKey {
     /// Cost-model fingerprint the cell is measured under.
     pub fingerprint: u64,
-    /// Job kind label.
-    pub kind: &'static str,
-    /// Configuration (micro cells; `None` for report cells).
-    pub config: Option<Config>,
-    /// Benchmark (micro cells; `None` for report cells).
-    pub bench: Option<Bench>,
-    /// Step-engine label.
-    pub engine: &'static str,
-    /// Step budget (0 = platform default).
-    pub budget: u64,
-    /// Fault-plan name ("" = none) and seed.
-    pub plan: String,
-    /// Fault-plan seed (0 when `plan` is empty).
-    pub plan_seed: u64,
-    /// Kind-specific parameters of report cells (campaign seed, case
-    /// count, sample count, smoke), rendered canonically.
-    pub params: String,
-}
-
-/// What a worker must execute to produce one cell.
-#[derive(Debug, Clone)]
-pub enum CellWork {
-    /// One evaluation-matrix cell.
-    Micro {
-        /// Configuration to build.
-        config: Config,
-        /// Benchmark to run.
-        bench: Bench,
-        /// Step engine for ARM beds.
-        engine: Engine,
-        /// Optional watchdog budget.
-        budget: Option<u64>,
-        /// Optional fault plan (already resolved).
-        plan: Option<FaultPlan>,
-    },
-    /// A whole fault campaign (renders to a report).
-    Faults(CampaignSpec),
-    /// A whole fuzz campaign.
-    Fuzz(FuzzSpec),
-    /// The consolidation table.
-    Consolidate(ConsolidateSpec),
-    /// A throughput measurement (uncacheable: wall-clock).
-    BenchSim {
-        /// Timed samples.
-        samples: usize,
-        /// Step engine.
-        engine: Engine,
-    },
-}
-
-impl CellWork {
-    /// Whether the result may be kept in the store after delivery.
-    /// Wall-clock measurements go stale immediately; everything else is
-    /// deterministic under its key.
-    pub fn cacheable(&self) -> bool {
-        !matches!(self, CellWork::BenchSim { .. })
-    }
-}
-
-/// What one executed cell produced.
-#[derive(Debug, Clone)]
-pub enum CellOutcome {
-    /// A micro cell's measurement (or contained failure).
-    Micro(crate::session::CellResult),
-    /// A report kind's rendered text.
-    Report(String),
-    /// A report kind's structured error (campaign harness failure).
-    Error(String),
+    /// Configuration to build.
+    pub config: Config,
+    /// Benchmark to run.
+    pub bench: Bench,
+    /// Step engine for ARM beds.
+    pub engine: Engine,
+    /// Step budget (`None` = platform default).
+    pub budget: Option<u64>,
+    /// Builtin fault-plan name and seed, already checked to resolve.
+    pub plan: Option<(String, u64)>,
 }
 
 impl JobRequest {
+    /// A request for `configs × benches` with the default engine, no
+    /// budget and no fault plan.
+    pub fn micro(id: impl Into<String>, configs: Vec<Config>, benches: Vec<Bench>) -> Self {
+        JobRequest {
+            id: id.into(),
+            kind: JobKind::Micro,
+            configs,
+            benches,
+            engine: Engine::default(),
+            budget: None,
+            plan: None,
+            seed: 0,
+            cases: 0,
+            smoke: false,
+            samples: 0,
+        }
+    }
+
     /// Splits the request into content-addressed cells. `fingerprint`
     /// is the current cost model's — requests never choose it; it is
     /// part of the key so a cost-model edit invalidates every stored
@@ -226,122 +154,34 @@ impl JobRequest {
     /// # Errors
     ///
     /// An unknown builtin fault-plan name.
-    pub fn cells(&self, fingerprint: u64) -> Result<Vec<(CellKey, CellWork)>, String> {
-        let engine = engine_label(self.engine);
-        match self.kind {
-            JobKind::Micro => {
-                let plan = match &self.plan {
-                    None => None,
-                    Some((name, seed)) => Some((
-                        name.clone(),
-                        *seed,
-                        FaultPlan::builtin(name, *seed)
-                            .ok_or_else(|| format!("unknown fault plan `{name}`"))?,
-                    )),
-                };
-                let mut cells = Vec::new();
-                for &config in &self.configs {
-                    for &bench in &self.benches {
-                        let key = CellKey {
-                            fingerprint,
-                            kind: self.kind.label(),
-                            config: Some(config),
-                            bench: Some(bench),
-                            engine,
-                            budget: self.budget.unwrap_or(0),
-                            plan: plan.as_ref().map(|(n, _, _)| n.clone()).unwrap_or_default(),
-                            plan_seed: plan.as_ref().map(|(_, s, _)| *s).unwrap_or(0),
-                            params: String::new(),
-                        };
-                        let work = CellWork::Micro {
-                            config,
-                            bench,
-                            engine: self.engine,
-                            budget: self.budget,
-                            plan: plan.as_ref().map(|(_, _, p)| p.clone()),
-                        };
-                        cells.push((key, work));
-                    }
-                }
-                Ok(cells)
-            }
-            JobKind::Faults => {
-                let spec = CampaignSpec {
-                    seed: self.seed,
-                    smoke: self.smoke,
-                    jobs: 1, // parallelism lives in the serve queue
-                    fail_fast: false,
-                    step_budget: self.budget,
-                };
-                Ok(vec![(
-                    self.report_key(
-                        fingerprint,
-                        engine,
-                        format!("seed={:#x} smoke={}", self.seed, self.smoke),
-                    ),
-                    CellWork::Faults(spec),
-                )])
-            }
-            JobKind::Fuzz => {
-                let spec = FuzzSpec {
-                    seed: self.seed,
-                    cases: self.cases,
-                    jobs: 1,
-                    corpus_dir: None, // serve results stream; no side files
-                };
-                Ok(vec![(
-                    self.report_key(
-                        fingerprint,
-                        engine,
-                        format!("seed={:#x} cases={}", self.seed, self.cases),
-                    ),
-                    CellWork::Fuzz(spec),
-                )])
-            }
-            JobKind::Consolidate => {
-                let mut spec = if self.smoke {
-                    ConsolidateSpec::smoke()
-                } else {
-                    ConsolidateSpec::full()
-                };
-                spec.jobs = 1;
-                Ok(vec![(
-                    self.report_key(fingerprint, engine, format!("smoke={}", self.smoke)),
-                    CellWork::Consolidate(spec),
-                )])
-            }
-            JobKind::BenchSim => Ok(vec![(
-                self.report_key(fingerprint, engine, format!("samples={}", self.samples)),
-                CellWork::BenchSim {
-                    samples: self.samples,
+    pub fn cells(&self, fingerprint: u64) -> Result<Vec<CellKey>, String> {
+        if let Some((name, seed)) = &self.plan {
+            FaultPlan::builtin(name, *seed)
+                .ok_or_else(|| format!("unknown fault plan `{name}`"))?;
+        }
+        let mut cells = Vec::new();
+        for &config in &self.configs {
+            for &bench in &self.benches {
+                cells.push(CellKey {
+                    fingerprint,
+                    config,
+                    bench,
                     engine: self.engine,
-                },
-            )]),
+                    budget: self.budget,
+                    plan: self.plan.clone(),
+                });
+            }
         }
-    }
-
-    fn report_key(&self, fingerprint: u64, engine: &'static str, params: String) -> CellKey {
-        CellKey {
-            fingerprint,
-            kind: self.kind.label(),
-            config: None,
-            bench: None,
-            engine,
-            budget: self.budget.unwrap_or(0),
-            plan: String::new(),
-            plan_seed: 0,
-            params,
-        }
+        Ok(cells)
     }
 
     /// True when this request describes exactly the evaluation matrix
-    /// the persistent disk cache stores: every configuration, all four
+    /// the matrix file stores: every configuration, all four
     /// benchmarks, default engine, no plan, no budget. Only such
-    /// requests may be answered from (or written back to) the disk
-    /// cache — anything narrower goes through the in-memory store.
+    /// requests may be answered from (or written back to) the file —
+    /// anything narrower goes through the in-memory store.
     pub fn is_full_default_grid(&self) -> bool {
-        self.kind == JobKind::Micro
-            && self.engine == Engine::default()
+        self.engine == Engine::default()
             && self.budget.is_none()
             && self.plan.is_none()
             && self.benches.len() == Bench::all().len()
@@ -371,14 +211,6 @@ fn u64_field(doc: &JsonValue, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
-fn bool_field(doc: &JsonValue, key: &str) -> Result<Option<bool>, String> {
-    match doc.get(key) {
-        None => Ok(None),
-        Some(JsonValue::Bool(b)) => Ok(Some(*b)),
-        Some(_) => Err(format!("`{key}` must be a boolean")),
-    }
-}
-
 /// Parses one protocol line.
 ///
 /// The submit schema (all fields except `id` optional):
@@ -403,9 +235,9 @@ pub fn parse_request(line: &str) -> Result<Command, String> {
             other => Err(format!("unknown cmd `{other}`")),
         };
     }
-    let kind_name = str_field(&doc, "job")?.unwrap_or_else(|| "micro".into());
-    let kind =
-        JobKind::from_label(&kind_name).ok_or_else(|| format!("unknown job `{kind_name}`"))?;
+    if let Some(job) = str_field(&doc, "job")?.filter(|j| j != JobKind::Micro.label()) {
+        return Err(format!("unknown job `{job}`"));
+    }
     let configs = match doc.get("configs") {
         None => Config::all().to_vec(),
         Some(v) => {
@@ -454,20 +286,13 @@ pub fn parse_request(line: &str) -> Result<Command, String> {
         }
     };
     Ok(Command::Submit(JobRequest {
-        id,
-        kind,
-        configs,
-        benches,
         engine,
         budget: match u64_field(&doc, "budget")? {
             Some(0) | None => None,
             Some(b) => Some(b),
         },
         plan,
-        seed: u64_field(&doc, "seed")?.unwrap_or(2017),
-        cases: u64_field(&doc, "cases")?.unwrap_or(8).clamp(1, 100_000) as usize,
-        smoke: bool_field(&doc, "smoke")?.unwrap_or(true),
-        samples: u64_field(&doc, "samples")?.unwrap_or(1).clamp(1, 1000) as usize,
+        ..JobRequest::micro(id, configs, benches)
     }))
 }
 
@@ -509,9 +334,14 @@ mod tests {
         assert!(parse_request(r#"{"job":"micro"}"#)
             .unwrap_err()
             .contains("id"));
-        assert!(parse_request(r#"{"id":"x","job":"mystery"}"#)
-            .unwrap_err()
-            .contains("mystery"));
+        // The campaigns are CLI subcommands, not job kinds.
+        for job in ["mystery", "faults", "fuzz", "consolidate", "bench-sim"] {
+            let line = format!(r#"{{"id":"x","job":"{job}"}}"#);
+            assert_eq!(
+                parse_request(&line).unwrap_err(),
+                format!("unknown job `{job}`")
+            );
+        }
         assert!(parse_request(r#"{"id":"x","configs":["quantum"]}"#)
             .unwrap_err()
             .contains("quantum"));
@@ -535,40 +365,14 @@ mod tests {
         let rc = r.cells(7).unwrap();
         let sc = s.cells(7).unwrap();
         assert_eq!(rc.len(), 4);
-        assert_eq!(
-            rc.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
-            sc.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>()
-        );
+        assert_eq!(rc, sc);
         // A different fingerprint, engine, or budget changes every key.
-        assert_ne!(rc[0].0, r.cells(8).unwrap()[0].0);
+        assert_ne!(rc[0], r.cells(8).unwrap()[0]);
         let mut rb = r.clone();
         rb.budget = Some(1000);
-        assert_ne!(rc[0].0, rb.cells(7).unwrap()[0].0);
+        assert_ne!(rc[0], rb.cells(7).unwrap()[0]);
         let mut re = r.clone();
         re.engine = Engine::Interp;
-        assert_ne!(rc[0].0, re.cells(7).unwrap()[0].0);
-    }
-
-    #[test]
-    fn report_kinds_decompose_to_one_uncached_or_cached_cell() {
-        let Command::Submit(r) =
-            parse_request(r#"{"id":"f","job":"faults","seed":99,"smoke":true}"#).unwrap()
-        else {
-            panic!()
-        };
-        let cells = r.cells(7).unwrap();
-        assert_eq!(cells.len(), 1);
-        assert!(cells[0].1.cacheable());
-        assert!(cells[0].0.params.contains("0x63"));
-
-        let Command::Submit(b) = parse_request(r#"{"id":"t","job":"bench-sim"}"#).unwrap() else {
-            panic!()
-        };
-        let cells = b.cells(7).unwrap();
-        assert_eq!(cells.len(), 1);
-        assert!(
-            !cells[0].1.cacheable(),
-            "wall-clock results must not be cached"
-        );
+        assert_ne!(rc[0], re.cells(7).unwrap()[0]);
     }
 }

@@ -9,9 +9,9 @@
 //!   microbenchmark on every configuration (serially or in parallel,
 //!   bit-identically) — the data behind Tables 1, 6 and 7, including
 //!   the per-kind trap breakdown.
-//! - [`cache`]: the persistent results cache
-//!   (`results/micro_matrix.json`), keyed by the cost-model
-//!   fingerprint, so every report binary measures once and reuses.
+//! - [`cache`]: the matrix's JSON schema and its file
+//!   (`results/micro_matrix.json`, written by `neve export`), keyed by
+//!   the cost-model fingerprint.
 //! - [`faults`]: the fault-injection campaign — every built-in
 //!   [`FaultPlan`](neve_armv8::FaultPlan) against every nested ARM
 //!   cell, classifying each outcome as detected, recovered, or
@@ -28,10 +28,11 @@
 //! - [`par`]: the one worker pool every batch campaign runs on —
 //!   index-ordered, panic-contained [`par::striped_map`].
 //! - [`jobs`] and [`serve`]: the long-running job engine behind
-//!   `neve serve` — batched sweep requests over line-delimited JSON,
-//!   decomposed into content-addressed cells on a single FIFO queue,
-//!   with in-flight coalescing, an in-memory result store layered over
-//!   the disk cache, and streaming JSONL partial-matrix events.
+//!   `neve serve` — batched matrix-sweep requests over line-delimited
+//!   JSON, decomposed into content-addressed cells on a single FIFO
+//!   queue, with in-flight coalescing, an in-memory result store
+//!   layered over the matrix file, and streaming JSONL partial-matrix
+//!   events.
 
 pub mod apps;
 pub mod cache;
@@ -50,13 +51,13 @@ pub mod tables;
 pub mod throughput;
 
 pub use apps::{figure2, WorkloadProfile, WorkloadRow, WORKLOADS};
-pub use cache::{load_or_measure, MatrixSource, CACHE_PATH};
+pub use cache::CACHE_PATH;
 pub use consolidate::{
     run_consolidate, ConsolidateReport, ConsolidateRow, ConsolidateSpec, CONSOLIDATE_PATH,
 };
 pub use faults::{run_campaign, CampaignReport, CampaignSpec, Verdict};
 pub use fuzz::{run_fuzz, FuzzReport, FuzzSpec, CORPUS_DIR};
-pub use jobs::{parse_request, CellKey, CellOutcome, CellWork, Command, JobKind, JobRequest};
+pub use jobs::{parse_request, CellKey, Command, JobKind, JobRequest};
 pub use oracle::{
     diff_pair, engine_lockstep, golden_diff, run_checks, trap_algebra, wheel_determinism,
     OracleReport, PairReport,

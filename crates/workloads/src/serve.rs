@@ -1,7 +1,8 @@
 //! The serve engine: a long-running job host that accepts batched
-//! sweep requests (line-delimited JSON), decomposes them into
-//! content-addressed cells ([`crate::jobs`]), runs the cells from one
-//! FIFO queue, and streams results back as JSONL events.
+//! evaluation-matrix sweep requests (line-delimited JSON), decomposes
+//! them into content-addressed (configuration, benchmark) cells
+//! ([`crate::jobs`]), runs the cells from one FIFO queue, and streams
+//! results back as JSONL events.
 //!
 //! The result store is the coalescing layer: a cell key maps to one
 //! slot that is `Queued`, `Running`, or `Done`. The first request to
@@ -9,8 +10,9 @@
 //! cell event); any request arriving while the slot is in flight
 //! attaches as a waiter (`"coalesced"`); a request arriving after
 //! completion is answered from memory (`"memory"`); and a
-//! full-default-grid request with a valid persistent cache file is
-//! answered straight from disk (`"disk"`) without touching the queue.
+//! full-default-grid request with a valid matrix file
+//! ([`crate::cache::CACHE_PATH`], written by `neve export`) is answered
+//! straight from disk (`"disk"`) without touching the queue.
 //!
 //! Lock order: the store mutex and the requests mutex are never held
 //! at the same time — workers collect deliveries under the store lock,
@@ -20,13 +22,11 @@
 //! of the batch completes; nothing poisons the queue.
 
 use crate::cache;
-use crate::consolidate::run_consolidate;
-use crate::faults::run_campaign;
-use crate::fuzz::run_fuzz;
-use crate::jobs::{self, CellKey, CellOutcome, CellWork, Command, JobKind, JobRequest};
+use crate::jobs::{self, CellKey, Command, JobRequest};
 use crate::platforms::MicroMatrix;
-use crate::session::{Bench, CellResult, SimSession};
-use crate::throughput::measure_config_with;
+use crate::session::{panic_message, Bench, CellResult, SimSession};
+use neve_armv8::FaultPlan;
+use neve_cycles::SimFault;
 use neve_json::JsonValue;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, Write};
@@ -39,16 +39,12 @@ pub type Sink = Arc<Mutex<dyn Write + Send>>;
 
 /// One slot of the coalescing result store.
 enum Slot {
-    /// Enqueued, not yet picked up. Holds the work and every request
-    /// waiting on it.
-    Queued {
-        work: Box<CellWork>,
-        waiters: Vec<Waiter>,
-    },
+    /// Enqueued, not yet picked up. Holds every request waiting on it.
+    Queued { waiters: Vec<Waiter> },
     /// A worker is executing it; late arrivals still attach here.
     Running { waiters: Vec<Waiter> },
     /// Finished; repeat queries are answered from memory.
-    Done(Arc<CellOutcome>),
+    Done(Arc<CellResult>),
 }
 
 /// A request waiting on a cell, with the provenance tag its cell event
@@ -61,18 +57,17 @@ struct Waiter {
 
 /// Per-request bookkeeping, alive from accept to the `done` event.
 struct RequestState {
-    kind: JobKind,
     /// Every bench per config present and deduped: the `done` event
     /// may carry an assembled matrix.
     full_benches: bool,
-    /// Full-default-grid request that missed the disk cache: the
+    /// Full-default-grid request that missed the matrix file: the
     /// assembled matrix is written back on completion.
     write_back: bool,
     pending: usize,
     ok: usize,
     failed: usize,
     cancelled: usize,
-    cells: Vec<(CellKey, Option<Arc<CellOutcome>>)>,
+    cells: Vec<(CellKey, Option<Arc<CellResult>>)>,
     sink: Sink,
 }
 
@@ -126,111 +121,63 @@ fn error_event(id: &str, error: String) -> String {
 }
 
 fn cell_location(pairs: &mut Vec<(&str, JsonValue)>, key: &CellKey) {
-    match (key.config, key.bench) {
-        (Some(c), Some(b)) => {
-            pairs.push(("config", JsonValue::String(c.label().into())));
-            pairs.push(("bench", JsonValue::String(b.label().into())));
-        }
-        _ => pairs.push(("kind", JsonValue::String(key.kind.into()))),
-    }
+    pairs.push(("config", JsonValue::String(key.config.label().into())));
+    pairs.push(("bench", JsonValue::String(key.bench.label().into())));
 }
 
-fn cell_event(id: &str, key: &CellKey, outcome: &CellOutcome, source: &str) -> String {
+fn cell_event(id: &str, key: &CellKey, outcome: &CellResult, source: &str) -> String {
     let mut pairs: Vec<(&str, JsonValue)> = vec![
         ("event", JsonValue::String("cell".into())),
         ("id", JsonValue::String(id.into())),
     ];
     cell_location(&mut pairs, key);
     match outcome {
-        CellOutcome::Micro(CellResult::Ok(m)) => {
+        CellResult::Ok(m) => {
             pairs.push(("status", JsonValue::String("ok".into())));
             pairs.push(("cycles", JsonValue::from(m.per_op.cycles)));
             pairs.push(("traps", JsonValue::from(m.per_op.traps)));
         }
-        CellOutcome::Micro(CellResult::Failed { fault, .. }) => {
+        CellResult::Failed { fault, .. } => {
             pairs.push(("status", JsonValue::String("failed".into())));
             pairs.push(("error", JsonValue::String(fault.describe())));
-        }
-        CellOutcome::Report(_) => pairs.push(("status", JsonValue::String("ok".into()))),
-        CellOutcome::Error(e) => {
-            pairs.push(("status", JsonValue::String("failed".into())));
-            pairs.push(("error", JsonValue::String(e.clone())));
         }
     }
     pairs.push(("source", JsonValue::String(source.into())));
     event(pairs)
 }
 
-fn outcome_failed(outcome: &CellOutcome) -> bool {
-    matches!(
-        outcome,
-        CellOutcome::Micro(CellResult::Failed { .. }) | CellOutcome::Error(_)
-    )
-}
-
-fn execute(work: &CellWork) -> CellOutcome {
-    let run = || match work {
-        CellWork::Micro {
-            config,
-            bench,
-            engine,
-            budget,
-            plan,
-        } => {
-            let mut s = SimSession::new(*config, *bench);
-            s.set_engine(*engine);
-            if let Some(plan) = plan {
-                s.attach_fault_plan(plan);
+fn execute(key: &CellKey) -> CellResult {
+    let run = || {
+        let mut s = SimSession::new(key.config, key.bench);
+        s.set_engine(key.engine);
+        if let Some((name, seed)) = &key.plan {
+            // `JobRequest::cells` refuses a plan name that does not
+            // resolve, so this cannot miss.
+            if let Some(plan) = FaultPlan::builtin(name, *seed) {
+                s.attach_fault_plan(&plan);
             }
-            if let Some(budget) = budget {
-                s.set_step_budget(*budget);
-            }
-            CellOutcome::Micro(s.run())
         }
-        CellWork::Faults(spec) => match run_campaign(spec) {
-            Ok(report) => CellOutcome::Report(report.render()),
-            Err(e) => CellOutcome::Error(e),
-        },
-        CellWork::Fuzz(spec) => match run_fuzz(spec) {
-            Ok(report) => CellOutcome::Report(report.render()),
-            Err(e) => CellOutcome::Error(e),
-        },
-        CellWork::Consolidate(spec) => match run_consolidate(*spec) {
-            Ok(report) => CellOutcome::Report(report.render()),
-            Err(e) => CellOutcome::Error(e),
-        },
-        CellWork::BenchSim { samples, engine } => {
-            let mut c = criterion::Criterion::default();
-            let mut out = String::new();
-            for config in [
-                crate::platforms::Config::ArmVm,
-                crate::platforms::Config::ArmNestedV83,
-            ] {
-                let t = measure_config_with(&mut c, config, *samples, *engine);
-                out.push_str(&format!(
-                    "{:<20} {:>14.0} steps/sec\n",
-                    t.config.label(),
-                    t.steps_per_sec()
-                ));
-            }
-            CellOutcome::Report(out)
+        if let Some(budget) = key.budget {
+            s.set_step_budget(budget);
         }
+        s.run()
     };
-    // The last containment layer: a panic in a cell becomes that
-    // cell's structured failure, never a dead worker.
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
-        Ok(outcome) => outcome,
-        Err(payload) => CellOutcome::Error(format!(
-            "cell panicked: {}",
-            crate::session::panic_message(payload.as_ref())
-        )),
-    }
+    // The last containment layer: a panic building a cell becomes that
+    // cell's structured failure, never a dead worker (`SimSession::run`
+    // already contains panics in the run itself).
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        CellResult::Failed {
+            config: key.config,
+            bench: key.bench,
+            fault: SimFault::from_panic(panic_message(payload.as_ref())),
+        }
+    })
 }
 
 /// Delivers one finished cell to its waiters under the requests lock
 /// (the store lock must already be released) and finalizes any request
 /// whose last cell this was.
-fn deliver(shared: &Shared, key: &CellKey, outcome: &Arc<CellOutcome>, waiters: &[Waiter]) {
+fn deliver(shared: &Shared, key: &CellKey, outcome: &Arc<CellResult>, waiters: &[Waiter]) {
     let mut requests = shared.requests.lock().unwrap();
     let mut finished: Vec<(String, RequestState)> = Vec::new();
     for waiter in waiters {
@@ -245,7 +192,7 @@ fn deliver(shared: &Shared, key: &CellKey, outcome: &Arc<CellOutcome>, waiters: 
             continue;
         };
         cell.1 = Some(Arc::clone(outcome));
-        if outcome_failed(outcome) {
+        if outcome.fault().is_some() {
             state.failed += 1;
         } else {
             state.ok += 1;
@@ -268,9 +215,8 @@ fn deliver(shared: &Shared, key: &CellKey, outcome: &Arc<CellOutcome>, waiters: 
 }
 
 /// Emits a request's `done` event — with the assembled matrix for
-/// full-bench micro requests, or the rendered report for the campaign
-/// kinds — and writes a freshly measured full default grid back to the
-/// disk cache.
+/// full-bench requests — and writes a freshly measured full default
+/// grid back to the matrix file.
 fn finalize(shared: &Shared, id: &str, state: RequestState) {
     let mut pairs: Vec<(&str, JsonValue)> = vec![
         ("event", JsonValue::String("done".into())),
@@ -278,36 +224,24 @@ fn finalize(shared: &Shared, id: &str, state: RequestState) {
         ("ok", JsonValue::from(state.ok as u64)),
         ("failed", JsonValue::from(state.failed as u64)),
     ];
-    if state.kind == JobKind::Micro {
-        if state.full_benches {
-            let cells: Vec<CellResult> = state
-                .cells
-                .iter()
-                .filter_map(|(_, o)| match o.as_deref() {
-                    Some(CellOutcome::Micro(r)) => Some(r.clone()),
-                    _ => None,
-                })
-                .collect();
-            if cells.len() == state.cells.len() {
-                let matrix = MicroMatrix::from_cells(cells);
-                let json = cache::to_json(&matrix, shared.fingerprint);
-                if state.write_back && state.failed == 0 {
-                    if let Some(path) = &shared.cache_path {
-                        if let Some(dir) = path.parent() {
-                            let _ = std::fs::create_dir_all(dir);
-                        }
-                        let _ = cache::write_atomically(path, &json);
+    if state.full_benches {
+        let cells: Vec<CellResult> = state
+            .cells
+            .iter()
+            .filter_map(|(_, o)| o.as_deref().cloned())
+            .collect();
+        if cells.len() == state.cells.len() {
+            let matrix = MicroMatrix::from_cells(cells);
+            let json = cache::to_json(&matrix, shared.fingerprint);
+            if state.write_back && state.failed == 0 {
+                if let Some(path) = &shared.cache_path {
+                    if let Some(dir) = path.parent() {
+                        let _ = std::fs::create_dir_all(dir);
                     }
+                    let _ = cache::write_atomically(path, &json);
                 }
-                pairs.push(("matrix", JsonValue::String(json)));
             }
-        }
-    } else if let Some((_, Some(outcome))) = state.cells.first() {
-        // Report kinds have exactly one cell.
-        match outcome.as_ref() {
-            CellOutcome::Report(text) => pairs.push(("report", JsonValue::String(text.clone()))),
-            CellOutcome::Error(e) => pairs.push(("error", JsonValue::String(e.clone()))),
-            CellOutcome::Micro(_) => {}
+            pairs.push(("matrix", JsonValue::String(json)));
         }
     }
     emit(&state.sink, &event(pairs));
@@ -315,15 +249,15 @@ fn finalize(shared: &Shared, id: &str, state: RequestState) {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let (key, work) = {
+        let key = {
             let mut store = shared.store.lock().unwrap();
             loop {
                 if let Some(key) = store.queue.pop_front() {
-                    let Some(Slot::Queued { work, waiters }) = store.slots.remove(&key) else {
+                    let Some(Slot::Queued { waiters }) = store.slots.remove(&key) else {
                         unreachable!("every queued key has a Queued slot");
                     };
                     store.slots.insert(key.clone(), Slot::Running { waiters });
-                    break (key, work);
+                    break key;
                 }
                 if store.shutdown {
                     return;
@@ -331,18 +265,16 @@ fn worker_loop(shared: &Shared) {
                 store = shared.work.wait(store).unwrap();
             }
         };
-        let outcome = Arc::new(execute(&work));
+        let outcome = Arc::new(execute(&key));
         shared.computed.fetch_add(1, Ordering::Relaxed);
         let waiters = {
             let mut store = shared.store.lock().unwrap();
             let Some(Slot::Running { waiters }) = store.slots.remove(&key) else {
                 continue;
             };
-            if work.cacheable() {
-                store
-                    .slots
-                    .insert(key.clone(), Slot::Done(Arc::clone(&outcome)));
-            }
+            store
+                .slots
+                .insert(key.clone(), Slot::Done(Arc::clone(&outcome)));
             waiters
         };
         // Lock-order rule: store lock dropped before requests lock.
@@ -352,8 +284,8 @@ fn worker_loop(shared: &Shared) {
 
 impl JobEngine {
     /// Builds an engine with `jobs` worker threads. `cache_path`
-    /// layers the persistent matrix cache under the in-memory store
-    /// (`None` disables the disk tier). `jobs == 0` is a test-only
+    /// layers the matrix file under the in-memory store (`None`
+    /// disables the disk tier). `jobs == 0` is a test-only
     /// shape: cells queue but never execute.
     pub fn new(
         jobs: usize,
@@ -409,10 +341,10 @@ impl JobEngine {
         };
         // Dedup within the request: duplicate config/bench entries
         // collapse to one cell (they would race on one store slot).
-        let mut unique: Vec<(CellKey, CellWork)> = Vec::new();
-        for (key, work) in cells {
-            if !unique.iter().any(|(k, _)| *k == key) {
-                unique.push((key, work));
+        let mut unique: Vec<CellKey> = Vec::new();
+        for key in cells {
+            if !unique.contains(&key) {
+                unique.push(key);
             }
         }
         if self.shared.requests.lock().unwrap().contains_key(&req.id) {
@@ -429,8 +361,8 @@ impl JobEngine {
             ("cells", JsonValue::from(unique.len() as u64)),
         ]);
 
-        // Disk tier: the exact grid the persistent cache stores, with a
-        // valid clean file present, streams straight from disk.
+        // Disk tier: the exact grid the matrix file stores, with a valid
+        // clean file present, streams straight from disk.
         let mut disk_miss = false;
         if req.is_full_default_grid() {
             if let Some(path) = &self.shared.cache_path {
@@ -457,15 +389,13 @@ impl JobEngine {
         self.shared.requests.lock().unwrap().insert(
             id.clone(),
             RequestState {
-                kind: req.kind,
-                full_benches: req.kind == JobKind::Micro
-                    && Bench::all().iter().all(|b| req.benches.contains(b)),
+                full_benches: Bench::all().iter().all(|b| req.benches.contains(b)),
                 write_back: disk_miss,
                 pending: unique.len(),
                 ok: 0,
                 failed: 0,
                 cancelled: 0,
-                cells: unique.iter().map(|(k, _)| (k.clone(), None)).collect(),
+                cells: unique.iter().map(|k| (k.clone(), None)).collect(),
                 sink: Arc::clone(sink),
             },
         );
@@ -476,7 +406,7 @@ impl JobEngine {
         let mut store = self.shared.store.lock().unwrap();
         let fresh = unique
             .iter()
-            .filter(|(k, _)| !store.slots.contains_key(k))
+            .filter(|k| !store.slots.contains_key(k))
             .count();
         if store.queue.len() + fresh > self.shared.max_queued {
             drop(store);
@@ -493,8 +423,8 @@ impl JobEngine {
         }
         emit(sink, &accepted);
         // Memory hits are delivered after the lock drops (lock order).
-        let mut hits: Vec<(CellKey, Arc<CellOutcome>)> = Vec::new();
-        for (key, work) in unique {
+        let mut hits: Vec<(CellKey, Arc<CellResult>)> = Vec::new();
+        for key in unique {
             match store.slots.get_mut(&key) {
                 Some(Slot::Done(outcome)) => hits.push((key, Arc::clone(outcome))),
                 Some(Slot::Queued { waiters, .. }) | Some(Slot::Running { waiters }) => {
@@ -507,7 +437,6 @@ impl JobEngine {
                     store.slots.insert(
                         key.clone(),
                         Slot::Queued {
-                            work: Box::new(work),
                             waiters: vec![Waiter {
                                 request: id.clone(),
                                 source: "measured",
@@ -609,46 +538,40 @@ impl Drop for JobEngine {
 
 fn stream_from_disk(
     req: &JobRequest,
-    cells: &[(CellKey, CellWork)],
+    cells: &[CellKey],
     matrix: &MicroMatrix,
     raw: &str,
     sink: &Sink,
 ) {
-    let mut ok = 0u64;
-    for (key, _) in cells {
-        let (Some(config), Some(bench)) = (key.config, key.bench) else {
-            continue;
-        };
-        let costs = matrix.costs(config);
-        let per_op = match bench {
+    for key in cells {
+        let costs = matrix.costs(key.config);
+        let per_op = match key.bench {
             Bench::Hypercall => costs.hypercall,
             Bench::DeviceIo => costs.device_io,
             Bench::VirtualIpi => costs.virtual_ipi,
             Bench::VirtualEoi => costs.virtual_eoi,
         };
-        ok += 1;
-        emit(
-            sink,
-            &event(vec![
-                ("event", JsonValue::String("cell".into())),
-                ("id", JsonValue::String(req.id.clone())),
-                ("config", JsonValue::String(config.label().into())),
-                ("bench", JsonValue::String(bench.label().into())),
-                ("status", JsonValue::String("ok".into())),
-                ("cycles", JsonValue::from(per_op.cycles)),
-                ("traps", JsonValue::from(per_op.traps)),
-                ("source", JsonValue::String("disk".into())),
-            ]),
-        );
+        let mut pairs: Vec<(&str, JsonValue)> = vec![
+            ("event", JsonValue::String("cell".into())),
+            ("id", JsonValue::String(req.id.clone())),
+        ];
+        cell_location(&mut pairs, key);
+        pairs.extend([
+            ("status", JsonValue::String("ok".into())),
+            ("cycles", JsonValue::from(per_op.cycles)),
+            ("traps", JsonValue::from(per_op.traps)),
+            ("source", JsonValue::String("disk".into())),
+        ]);
+        emit(sink, &event(pairs));
     }
     // The raw validated file text, verbatim: byte-identity with the
-    // one-shot CLI's `--json` output is the protocol contract.
+    // file `neve export` writes is the protocol contract.
     emit(
         sink,
         &event(vec![
             ("event", JsonValue::String("done".into())),
             ("id", JsonValue::String(req.id.clone())),
-            ("ok", JsonValue::from(ok)),
+            ("ok", JsonValue::from(cells.len() as u64)),
             ("failed", JsonValue::from(0u64)),
             ("matrix", JsonValue::String(raw.to_string())),
         ]),
@@ -766,18 +689,12 @@ pub fn smoke() -> Result<(), String> {
 
     // 1: coalescing. Two cheap configs, all four benches, twice.
     let engine = JobEngine::new(2, fingerprint, None, 1024);
-    let grid = |id: &str| JobRequest {
-        id: id.into(),
-        kind: JobKind::Micro,
-        configs: vec![Config::ArmVm, Config::X86Vm],
-        benches: Bench::all().to_vec(),
-        engine: neve_armv8::Engine::default(),
-        budget: None,
-        plan: None,
-        seed: 2017,
-        cases: 8,
-        smoke: true,
-        samples: 1,
+    let grid = |id: &str| {
+        JobRequest::micro(
+            id,
+            vec![Config::ArmVm, Config::X86Vm],
+            Bench::all().to_vec(),
+        )
     };
     let buf = SharedBuf::default();
     let sink = buf.sink();
@@ -810,19 +727,7 @@ pub fn smoke() -> Result<(), String> {
     // tier disabled) must serialize exactly as the serial one-shot
     // path does.
     let engine = JobEngine::new(2, fingerprint, None, 1024);
-    let full = JobRequest {
-        id: "full".into(),
-        kind: JobKind::Micro,
-        configs: Config::all().to_vec(),
-        benches: Bench::all().to_vec(),
-        engine: neve_armv8::Engine::default(),
-        budget: None,
-        plan: None,
-        seed: 2017,
-        cases: 8,
-        smoke: true,
-        samples: 1,
-    };
+    let full = JobRequest::micro("full", Config::all().to_vec(), Bench::all().to_vec());
     let buf = SharedBuf::default();
     let sink = buf.sink();
     engine.submit(full, &sink);
@@ -840,7 +745,7 @@ pub fn smoke() -> Result<(), String> {
     if streamed != serial {
         return Err("byte-identity: streamed matrix differs from the serially measured one".into());
     }
-    // When the repo's cache file is valid for this fingerprint, the
+    // When the matrix file is valid for this fingerprint, the
     // serve output must also match it byte-for-byte.
     if let Ok(text) = std::fs::read_to_string(cache::CACHE_PATH) {
         if cache::from_json(&text, fingerprint).is_some() && streamed != text {
@@ -857,17 +762,12 @@ pub fn smoke() -> Result<(), String> {
     // stream `failed` while the other completes.
     let engine = JobEngine::new(2, fingerprint, None, 1024);
     let budget = JobRequest {
-        id: "tight".into(),
-        kind: JobKind::Micro,
-        configs: vec![Config::ArmVm, Config::ArmNestedV83],
-        benches: vec![Bench::Hypercall],
-        engine: neve_armv8::Engine::default(),
         budget: Some(2000),
-        plan: None,
-        seed: 2017,
-        cases: 8,
-        smoke: true,
-        samples: 1,
+        ..JobRequest::micro(
+            "tight",
+            vec![Config::ArmVm, Config::ArmNestedV83],
+            vec![Bench::Hypercall],
+        )
     };
     let buf = SharedBuf::default();
     let sink = buf.sink();
@@ -905,22 +805,6 @@ mod tests {
     use super::*;
     use crate::platforms::Config;
 
-    fn micro_req(id: &str, configs: Vec<Config>, benches: Vec<Bench>) -> JobRequest {
-        JobRequest {
-            id: id.into(),
-            kind: JobKind::Micro,
-            configs,
-            benches,
-            engine: neve_armv8::Engine::default(),
-            budget: None,
-            plan: None,
-            seed: 2017,
-            cases: 8,
-            smoke: true,
-            samples: 1,
-        }
-    }
-
     fn done_of<'a>(events: &'a [JsonValue], id: &str) -> &'a JsonValue {
         events
             .iter()
@@ -937,7 +821,7 @@ mod tests {
         // Same cell three times (cheap: single-level x86 hypercall).
         for id in ["r1", "r2", "r3"] {
             engine.submit(
-                micro_req(id, vec![Config::X86Vm], vec![Bench::Hypercall]),
+                JobRequest::micro(id, vec![Config::X86Vm], vec![Bench::Hypercall]),
                 &sink,
             );
         }
@@ -968,7 +852,7 @@ mod tests {
         let buf = SharedBuf::default();
         let sink = buf.sink();
         engine.submit(
-            micro_req("m", Config::all().to_vec(), Bench::all().to_vec()),
+            JobRequest::micro("m", Config::all().to_vec(), Bench::all().to_vec()),
             &sink,
         );
         engine.drain();
@@ -989,7 +873,7 @@ mod tests {
         let engine = JobEngine::new(1, fp, None, 64);
         let buf = SharedBuf::default();
         let sink = buf.sink();
-        let mut req = micro_req(
+        let mut req = JobRequest::micro(
             "b",
             vec![Config::ArmVm, Config::ArmNestedV83],
             vec![Bench::Hypercall],
@@ -1017,7 +901,7 @@ mod tests {
         let buf = SharedBuf::default();
         let sink = buf.sink();
         engine.submit(
-            micro_req(
+            JobRequest::micro(
                 "c",
                 vec![Config::X86Vm],
                 vec![Bench::Hypercall, Bench::DeviceIo],
@@ -1054,7 +938,7 @@ mod tests {
     }
 
     fn two_x86_cells(id: &str, benches: [Bench; 2]) -> JobRequest {
-        micro_req(id, vec![Config::X86Vm], benches.to_vec())
+        JobRequest::micro(id, vec![Config::X86Vm], benches.to_vec())
     }
 
     fn event_kinds(buf: &SharedBuf, id: &str) -> Vec<String> {
@@ -1123,6 +1007,26 @@ mod tests {
     }
 
     #[test]
+    fn campaign_job_kinds_stream_one_error_and_no_accepted() {
+        let fp = neve_cycles::CostModel::default().fingerprint();
+        let engine = JobEngine::new(1, fp, None, 64);
+        for job in ["faults", "fuzz", "consolidate", "bench-sim"] {
+            let buf = SharedBuf::default();
+            let line = format!("{{\"id\":\"c\",\"job\":\"{job}\"}}\n");
+            run_protocol(
+                std::io::BufReader::new(line.as_bytes()),
+                &buf.sink(),
+                &engine,
+            );
+            let events = parse_events(&buf.text());
+            assert_eq!(events.len(), 1, "{job}: {}", buf.text());
+            assert_eq!(str_of(&events[0], "event"), "error");
+            assert_eq!(str_of(&events[0], "error"), format!("unknown job `{job}`"));
+        }
+        assert_eq!(engine.computed(), 0);
+    }
+
+    #[test]
     fn disk_tier_serves_a_valid_cache_file_verbatim() {
         let fp = neve_cycles::CostModel::default().fingerprint();
         let dir = std::env::temp_dir().join(format!("neve-serve-disk-{}", std::process::id()));
@@ -1136,14 +1040,14 @@ mod tests {
         let buf = SharedBuf::default();
         let sink = buf.sink();
         engine.submit(
-            micro_req("d", Config::all().to_vec(), Bench::all().to_vec()),
+            JobRequest::micro("d", Config::all().to_vec(), Bench::all().to_vec()),
             &sink,
         );
         engine.drain();
         assert_eq!(
             engine.computed(),
             0,
-            "a valid disk cache costs no computation"
+            "a valid matrix file costs no computation"
         );
         let events = parse_events(&buf.text());
         let cells: Vec<_> = events
