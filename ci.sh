@@ -39,6 +39,15 @@ if [ -n "$corpus_changes" ]; then
     exit 1
 fi
 
+echo "==> fuzz corpus replay (every tracked reproducer still reproduces)"
+for repro in results/fuzz_corpus/*.json; do
+    [ -e "$repro" ] || continue
+    cargo run -q -p neve-cli --offline --bin neve -- fuzz --replay "$repro" || {
+        echo "neve fuzz --replay $repro no longer reproduces" >&2
+        exit 1
+    }
+done
+
 echo "==> exports (matrix file + tracked exports, pinned digests)"
 # `neve export` is the one CLI writer of results/micro_matrix.json; it
 # runs before any step that hashes that file. The matrix file is

@@ -1,8 +1,9 @@
 //! Host-side simulator throughput (`neve bench-sim`): steps/sec and
 //! ns/step per platform configuration, plus the `bigsmp_idle`
-//! event-wheel scenarios. A default run records
-//! `results/bench_throughput.json`; `--smoke` and `--guard` are the CI
-//! gates and never write `results/`.
+//! event-wheel scenarios — both measured, printed and recorded as the
+//! one [`Throughput`] record of `neve_workloads::throughput`. A default
+//! run records `results/bench_throughput.json`; `--smoke` and `--guard`
+//! are the CI gates and never write `results/`.
 
 use crate::args;
 use neve_armv8::Engine;
@@ -11,7 +12,7 @@ use neve_workloads::cache::{self, CACHE_PATH};
 use neve_workloads::par::default_jobs;
 use neve_workloads::platforms::{Config, MicroMatrix};
 use neve_workloads::throughput::{
-    self, measure_config_with, ConfigThroughput, ScenarioThroughput, BENCH_PATH,
+    self, measure_configs, measure_scenarios, section_from_report, Throughput, BENCH_PATH,
 };
 
 pub(crate) fn bench_sim_cmd(p: &args::Parsed) -> Result<(), String> {
@@ -29,30 +30,19 @@ pub(crate) fn bench_sim_cmd(p: &args::Parsed) -> Result<(), String> {
     }
 }
 
-fn print_stats(stats: &[ConfigThroughput]) {
-    println!(
-        "\n{:<20} {:>14} {:>14} {:>10}",
-        "config", "steps/sec", "ns/step", "steps"
-    );
-    for s in stats {
+/// Prints one report section as a table, with an ns/step column when
+/// `per_step` (the configurations).
+fn print_table(subject: &str, records: &[Throughput], per_step: bool) {
+    let column = |cell: String| if per_step { cell } else { String::new() };
+    let head = column(format!(" {:>14}", "ns/step"));
+    println!("\n{subject:<20} {:>14}{head} {:>10}", "steps/sec", "steps");
+    for r in records {
+        let ns = column(format!(" {:>14.1}", r.ns_per_step()));
         println!(
-            "{:<20} {:>14.0} {:>14.1} {:>10}",
-            s.config.label(),
-            s.steps_per_sec(),
-            s.ns_per_step(),
-            s.steps
-        );
-    }
-}
-
-fn print_scenarios(stats: &[ScenarioThroughput]) {
-    println!("\n{:<20} {:>14} {:>10}", "scenario", "steps/sec", "steps");
-    for s in stats {
-        println!(
-            "{:<20} {:>14.0} {:>10}",
-            s.label,
-            s.steps_per_sec(),
-            s.steps
+            "{:<20} {:>14.0}{ns} {:>10}",
+            r.label,
+            r.steps_per_sec(),
+            r.steps
         );
     }
 }
@@ -61,10 +51,10 @@ fn print_scenarios(stats: &[ScenarioThroughput]) {
 /// a manual experiment: writing it would make the recorded `current`
 /// section describe the wrong engine, so it only prints.
 fn record(samples: usize, engine: Engine) -> Result<(), String> {
-    let stats = throughput::measure_all_with(samples, engine);
-    let scenarios = throughput::measure_scenarios(samples);
-    print_stats(&stats);
-    print_scenarios(&scenarios);
+    let stats = measure_configs(&Config::all(), samples, engine);
+    let scenarios = measure_scenarios(samples);
+    print_table("config", &stats, true);
+    print_table("scenario", &scenarios, false);
     if engine != Engine::default() {
         println!("\n--engine {engine:?}: report not written");
         return Ok(());
@@ -113,12 +103,12 @@ fn smoke(samples: usize, engine: Engine) -> Result<(), String> {
             );
         }
     }
-    let mut c = criterion::Criterion::default();
-    let stats: Vec<ConfigThroughput> = [Config::ArmVm, Config::ArmNestedV83]
-        .into_iter()
-        .map(|config| measure_config_with(&mut c, config, samples.min(3), engine))
-        .collect();
-    print_stats(&stats);
+    let stats = measure_configs(
+        &[Config::ArmVm, Config::ArmNestedV83],
+        samples.min(3),
+        engine,
+    );
+    print_table("config", &stats, true);
     Ok(())
 }
 
@@ -134,7 +124,12 @@ fn smoke(samples: usize, engine: Engine) -> Result<(), String> {
 /// never a best-of-both merge.
 fn guard(samples: usize, engine: Engine) -> Result<(), String> {
     let report = std::fs::read_to_string(BENCH_PATH).ok();
-    let Some(recorded) = report.as_deref().and_then(throughput::section_from_report) else {
+    let section = |key| {
+        report
+            .as_deref()
+            .and_then(|text| section_from_report(text, key))
+    };
+    let Some(recorded) = section("current") else {
         // Nothing recorded yet (fresh checkout before the first full
         // run): the gate has no reference, so it passes vacuously.
         println!("no recorded `current` section in {BENCH_PATH}; guard skipped");
@@ -143,23 +138,20 @@ fn guard(samples: usize, engine: Engine) -> Result<(), String> {
     // Reports recorded before the event wheel have no scenario
     // section; the per-label bands then pass vacuously but the
     // fresh-vs-fresh idle-scaling bound still applies.
-    let recorded_scenarios = report
-        .as_deref()
-        .and_then(throughput::scenarios_from_report)
-        .unwrap_or_default();
+    let recorded_scenarios = section("scenarios").unwrap_or_default();
     let measure = || {
-        let mut c = criterion::Criterion::default();
-        let configs: Vec<ConfigThroughput> = [Config::ArmNestedV83, Config::ArmNestedNeve]
-            .into_iter()
-            .map(|config| measure_config_with(&mut c, config, samples, engine))
-            .collect();
-        let scenarios = throughput::measure_scenarios(samples);
-        print_stats(&configs);
-        print_scenarios(&scenarios);
+        let configs = measure_configs(
+            &[Config::ArmNestedV83, Config::ArmNestedNeve],
+            samples,
+            engine,
+        );
+        let scenarios = measure_scenarios(samples);
+        print_table("config", &configs, true);
+        print_table("scenario", &scenarios, false);
         (configs, scenarios)
     };
     let first = measure();
-    let verdict = |retry: Option<&(Vec<ConfigThroughput>, Vec<ScenarioThroughput>)>| {
+    let verdict = |retry: Option<&(Vec<Throughput>, Vec<Throughput>)>| {
         throughput::noise_retry_verdict(
             &recorded,
             &recorded_scenarios,

@@ -211,6 +211,16 @@ fn u64_field(doc: &JsonValue, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
+/// A protocol line [`parse_request`] refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestError {
+    /// The line's request id, so the error event names the refused
+    /// request; empty when the line is not JSON or has no string `id`.
+    pub id: String,
+    /// Why the line was refused.
+    pub error: String,
+}
+
 /// Parses one protocol line.
 ///
 /// The submit schema (all fields except `id` optional):
@@ -226,16 +236,26 @@ fn u64_field(doc: &JsonValue, key: &str) -> Result<Option<u64>, String> {
 /// # Errors
 ///
 /// Malformed JSON, unknown fields' values, or a missing `id`.
-pub fn parse_request(line: &str) -> Result<Command, String> {
-    let doc = neve_json::parse(line).map_err(|e| format!("invalid JSON: {e:?}"))?;
-    let id = str_field(&doc, "id")?.ok_or("missing `id`")?;
-    if let Some(cmd) = str_field(&doc, "cmd")? {
+pub fn parse_request(line: &str) -> Result<Command, RequestError> {
+    let refuse = |id: &str, error| RequestError {
+        id: id.to_string(),
+        error,
+    };
+    let doc = neve_json::parse(line).map_err(|e| refuse("", format!("invalid JSON: {e:?}")))?;
+    let id = doc.get("id").and_then(JsonValue::as_str).unwrap_or("");
+    parse_fields(&doc).map_err(|error| refuse(id, error))
+}
+
+/// [`parse_request`] on a parsed line.
+fn parse_fields(doc: &JsonValue) -> Result<Command, String> {
+    let id = str_field(doc, "id")?.ok_or("missing `id`")?;
+    if let Some(cmd) = str_field(doc, "cmd")? {
         return match cmd.as_str() {
             "cancel" => Ok(Command::Cancel(id)),
             other => Err(format!("unknown cmd `{other}`")),
         };
     }
-    if let Some(job) = str_field(&doc, "job")?.filter(|j| j != JobKind::Micro.label()) {
+    if let Some(job) = str_field(doc, "job")?.filter(|j| j != JobKind::Micro.label()) {
         return Err(format!("unknown job `{job}`"));
     }
     let configs = match doc.get("configs") {
@@ -268,16 +288,16 @@ pub fn parse_request(line: &str) -> Result<Command, String> {
             out
         }
     };
-    let engine = match str_field(&doc, "engine")?.as_deref() {
+    let engine = match str_field(doc, "engine")?.as_deref() {
         None => Engine::default(),
         Some("uop") => Engine::Uop,
         Some("interp") => Engine::Interp,
         Some(other) => return Err(format!("unknown engine `{other}`")),
     };
-    let plan = match str_field(&doc, "plan")? {
+    let plan = match str_field(doc, "plan")? {
         None => None,
         Some(name) => {
-            let seed = u64_field(&doc, "plan_seed")?.unwrap_or(2017);
+            let seed = u64_field(doc, "plan_seed")?.unwrap_or(2017);
             // Resolve now so a bad name fails the request at parse
             // time, not on a worker.
             FaultPlan::builtin(&name, seed)
@@ -287,7 +307,7 @@ pub fn parse_request(line: &str) -> Result<Command, String> {
     };
     Ok(Command::Submit(JobRequest {
         engine,
-        budget: match u64_field(&doc, "budget")? {
+        budget: match u64_field(doc, "budget")? {
             Some(0) | None => None,
             Some(b) => Some(b),
         },
@@ -331,22 +351,27 @@ mod tests {
     #[test]
     fn malformed_requests_are_structured_errors() {
         assert!(parse_request("not json").is_err());
-        assert!(parse_request(r#"{"job":"micro"}"#)
-            .unwrap_err()
-            .contains("id"));
+        let anonymous = parse_request(r#"{"job":"micro"}"#).unwrap_err();
+        assert!(anonymous.error.contains("id") && anonymous.id.is_empty());
+        assert_eq!(parse_request("not json").unwrap_err().id, "");
         // The campaigns are CLI subcommands, not job kinds.
         for job in ["mystery", "faults", "fuzz", "consolidate", "bench-sim"] {
             let line = format!(r#"{{"id":"x","job":"{job}"}}"#);
             assert_eq!(
                 parse_request(&line).unwrap_err(),
-                format!("unknown job `{job}`")
+                RequestError {
+                    id: "x".into(),
+                    error: format!("unknown job `{job}`")
+                }
             );
         }
         assert!(parse_request(r#"{"id":"x","configs":["quantum"]}"#)
             .unwrap_err()
+            .error
             .contains("quantum"));
         assert!(parse_request(r#"{"id":"x","plan":"nope"}"#)
             .unwrap_err()
+            .error
             .contains("nope"));
         assert!(parse_request(r#"{"id":"x","configs":[]}"#).is_err());
     }

@@ -57,17 +57,14 @@ pub use consolidate::{
 };
 pub use faults::{run_campaign, CampaignReport, CampaignSpec, Verdict};
 pub use fuzz::{run_fuzz, FuzzReport, FuzzSpec, CORPUS_DIR};
-pub use jobs::{parse_request, CellKey, Command, JobKind, JobRequest};
+pub use jobs::{parse_request, CellKey, Command, JobKind, JobRequest, RequestError};
 pub use oracle::{
     diff_pair, engine_lockstep, golden_diff, run_checks, trap_algebra, wheel_determinism,
     OracleReport, PairReport,
 };
-pub use platforms::{Config, MeasureOpts, MicroCosts, MicroMatrix, PhaseStat};
+pub use platforms::{Config, MicroCosts, MicroMatrix, PhaseStat};
 pub use replay::{replay_vs_model, Mix, ReplayResult};
 pub use serve::{listen, run_protocol, JobEngine, SharedBuf, Sink};
 pub use session::{Bench, CellMeasurement, CellResult, SimSession};
 pub use tables::{table1, table6, table7, Cell, TableRow};
-pub use throughput::{
-    guard_regressions, guard_scenario_regressions, measure_all, measure_all_with,
-    measure_scenarios, ConfigThroughput, ScenarioThroughput, BENCH_PATH,
-};
+pub use throughput::{measure_configs, measure_scenarios, Throughput, BENCH_PATH};

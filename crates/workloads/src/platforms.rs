@@ -1,9 +1,9 @@
 //! Unified access to both simulated platforms.
 
 use crate::session::{Bench, CellResult, SimSession};
-use neve_armv8::FaultPlan;
 use neve_cycles::counter::PerOp;
 use neve_kvmarm::{ArmConfig, ParaMode};
+use neve_x86vt::testbed::X86Config;
 use std::collections::BTreeMap;
 
 /// Every evaluation configuration of Tables 1/6/7 and Figure 2.
@@ -135,18 +135,7 @@ pub struct MicroMatrix {
     failures: BTreeMap<Config, BTreeMap<String, String>>,
 }
 
-/// Options for a matrix measurement run (fault-campaign entry point;
-/// the plain table paths use [`MicroMatrix::measure_parallel`]).
-#[derive(Debug, Clone, Default)]
-pub struct MeasureOpts {
-    /// Worker threads (0 and 1 both mean serial).
-    pub jobs: usize,
-    /// Deterministic fault-injection plan, cloned into every ARM cell.
-    pub fault_plan: Option<FaultPlan>,
-    /// Step-budget override for every cell's run-loop watchdog.
-    pub step_budget: Option<u64>,
-}
-
+/// The ARM testbed configuration of `c`; `None` for x86.
 pub(crate) fn arm_config(c: Config) -> Option<ArmConfig> {
     Some(match c {
         Config::ArmVm => ArmConfig::Vm,
@@ -172,6 +161,15 @@ pub(crate) fn arm_config(c: Config) -> Option<ArmConfig> {
         },
         _ => return None,
     })
+}
+
+/// The x86 testbed configuration of `c`, for the configurations
+/// [`arm_config`] does not cover (VMCS shadowing on, as in the paper).
+pub(crate) fn x86_config(c: Config) -> X86Config {
+    match c {
+        Config::X86Vm => X86Config::Vm,
+        _ => X86Config::Nested { shadowing: true },
+    }
 }
 
 /// A cell's result from the worker pool. An `Err` — a panic outside
@@ -218,36 +216,14 @@ impl MicroMatrix {
     /// bit-identical to [`MicroMatrix::measure`] regardless of `jobs`
     /// or scheduling.
     pub fn measure_parallel(jobs: usize) -> Self {
-        Self::measure_with(&MeasureOpts {
-            jobs,
-            ..MeasureOpts::default()
-        })
-    }
-
-    /// Runs every cell with explicit options: worker count, an optional
-    /// fault-injection plan, and an optional step-budget override.
-    /// Faulted cells degrade to [`CellResult::Failed`] and surface via
-    /// [`MicroMatrix::has_failures`]; clean cells measure exactly as
-    /// they would without options (injection off means zero measurement
-    /// perturbation).
-    pub fn measure_with(opts: &MeasureOpts) -> Self {
         // Item `i` runs on worker `i % jobs`, so the slow nested-ARM
         // cells of one config spread over the workers.
         let cells = all_cells();
         let results = crate::par::striped_map(
             &cells,
-            opts.jobs,
+            jobs,
             || Ok(()),
-            |_, &(c, b)| {
-                let mut s = SimSession::new(c, b);
-                if let Some(plan) = &opts.fault_plan {
-                    s.attach_fault_plan(plan);
-                }
-                if let Some(budget) = opts.step_budget {
-                    s.set_step_budget(budget);
-                }
-                s.run()
-            },
+            |_, &(c, b)| SimSession::new(c, b).run(),
         );
         Self::assemble(
             cells

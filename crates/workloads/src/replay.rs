@@ -11,8 +11,8 @@
 //! `replay_vs_model` returns both numbers so tests can assert the model
 //! is faithful for the event mixes Figure 2 is built from.
 
-use crate::platforms::{Config, MicroMatrix};
-use neve_kvmarm::{ArmConfig, MicroBench, ParaMode, TestBed};
+use crate::platforms::{arm_config, Config, MicroMatrix};
+use neve_kvmarm::{ArmConfig, MicroBench, TestBed};
 
 /// A replayed transaction mix.
 #[derive(Debug, Clone, Copy)]
@@ -36,33 +36,6 @@ pub struct ReplayResult {
     pub predicted: f64,
 }
 
-fn arm_config(c: Config) -> ArmConfig {
-    match c {
-        Config::ArmVm => ArmConfig::Vm,
-        Config::ArmNestedV83 => ArmConfig::Nested {
-            guest_vhe: false,
-            neve: false,
-            para: ParaMode::None,
-        },
-        Config::ArmNestedV83Vhe => ArmConfig::Nested {
-            guest_vhe: true,
-            neve: false,
-            para: ParaMode::None,
-        },
-        Config::ArmNestedNeve => ArmConfig::Nested {
-            guest_vhe: false,
-            neve: true,
-            para: ParaMode::None,
-        },
-        Config::ArmNestedNeveVhe => ArmConfig::Nested {
-            guest_vhe: true,
-            neve: true,
-            para: ParaMode::None,
-        },
-        _ => panic!("replay covers the ARM configurations"),
-    }
-}
-
 fn run_mix(cfg: ArmConfig, mix: Mix, iters: u64) -> u64 {
     let bench = MicroBench::Mixed {
         work: mix.work,
@@ -81,7 +54,7 @@ fn run_mix(cfg: ArmConfig, mix: Mix, iters: u64) -> u64 {
 /// in the paper's normalized figure.
 pub fn replay_vs_model(cfg: Config, mix: Mix, m: &MicroMatrix) -> ReplayResult {
     let iters = 20;
-    let ac = arm_config(cfg);
+    let ac = arm_config(cfg).expect("replay covers the ARM configurations");
     let with_events = run_mix(ac, mix, iters);
     let baseline = run_mix(
         ac,

@@ -590,7 +590,7 @@ pub fn run_protocol(reader: impl BufRead, sink: &Sink, engine: &JobEngine) {
         }
         match jobs::parse_request(line) {
             Ok(cmd) => engine.handle(cmd, sink),
-            Err(e) => emit(sink, &error_event("", e)),
+            Err(e) => emit(sink, &error_event(&e.id, e.error)),
         }
     }
     engine.drain();
@@ -996,12 +996,16 @@ mod tests {
                      {\"id\":\"bad\",\"configs\":[\"warp-drive\"]}\n";
         run_protocol(std::io::BufReader::new(input.as_bytes()), &sink, &engine);
         let events = parse_events(&buf.text());
-        assert!(events
-            .iter()
-            .any(|e| str_of(e, "event") == "error" && str_of(e, "error").contains("JSON")));
-        assert!(events
-            .iter()
-            .any(|e| str_of(e, "event") == "error" && str_of(e, "error").contains("warp-drive")));
+        // Each error names the request it refused; a line that is not
+        // JSON has no id to name.
+        let error_id = |needle: &str| {
+            let e = events
+                .iter()
+                .find(|e| str_of(e, "event") == "error" && str_of(e, "error").contains(needle));
+            str_of(e.expect(needle), "id").to_string()
+        };
+        assert_eq!(error_id("JSON"), "");
+        assert_eq!(error_id("warp-drive"), "bad");
         let done = done_of(&events, "p");
         assert_eq!(done.get("ok").and_then(|v| v.as_u64()), Some(1));
     }
@@ -1022,6 +1026,7 @@ mod tests {
             assert_eq!(events.len(), 1, "{job}: {}", buf.text());
             assert_eq!(str_of(&events[0], "event"), "error");
             assert_eq!(str_of(&events[0], "error"), format!("unknown job `{job}`"));
+            assert_eq!(str_of(&events[0], "id"), "c");
         }
         assert_eq!(engine.computed(), 0);
     }

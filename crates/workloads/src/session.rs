@@ -16,7 +16,7 @@ use neve_armv8::{Engine, FaultPlan};
 use neve_cycles::counter::Measured;
 use neve_cycles::SimFault;
 use neve_kvmarm::{MicroBench, TestBed};
-use neve_x86vt::testbed::{X86Bench, X86Config, X86TestBed};
+use neve_x86vt::testbed::{X86Bench, X86TestBed};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -217,13 +217,11 @@ impl SimSession {
         let iters = bench.iters();
         let bed = match crate::platforms::arm_config(config) {
             Some(ac) => Bed::Arm(Box::new(TestBed::new(ac, bench.arm(), iters))),
-            None => {
-                let xc = match config {
-                    Config::X86Vm => X86Config::Vm,
-                    _ => X86Config::Nested { shadowing: true },
-                };
-                Bed::X86(Box::new(X86TestBed::new(xc, bench.x86(), iters)))
-            }
+            None => Bed::X86(Box::new(X86TestBed::new(
+                crate::platforms::x86_config(config),
+                bench.x86(),
+                iters,
+            ))),
         };
         Self {
             config,
